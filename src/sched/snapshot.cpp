@@ -46,7 +46,7 @@ void SnapshotWriter::f64_vec(const std::vector<double>& v) {
 }
 
 void SnapshotReader::take(void* out, std::size_t n) {
-  QRGRID_CHECK_MSG(pos_ + n <= bytes_.size(),
+  QRGRID_CHECK_MSG(n <= remaining(),
                    "truncated snapshot: need " << n << " bytes at offset "
                        << pos_ << " of " << bytes_.size());
   std::memcpy(out, bytes_.data() + pos_, n);
@@ -85,32 +85,38 @@ double SnapshotReader::f64() {
 }
 bool SnapshotReader::boolean() { return u8() != 0; }
 
-std::string SnapshotReader::str() {
+std::size_t SnapshotReader::length(std::size_t elem_size) {
   const std::uint64_t n = u64();
-  QRGRID_CHECK_MSG(pos_ + n <= bytes_.size(),
-                   "truncated snapshot string of " << n << " bytes");
-  std::string v(bytes_.data() + pos_, static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
+  // Bound the untrusted count by the bytes left before anything is sized
+  // from it: a corrupt prefix must not become a huge allocation.
+  QRGRID_CHECK_MSG(n <= remaining() / elem_size,
+                   "truncated snapshot: length " << n << " of "
+                       << elem_size << "-byte items at offset " << pos_
+                       << " of " << bytes_.size());
+  return static_cast<std::size_t>(n);
+}
+
+std::string SnapshotReader::str() {
+  const std::size_t n = length(1);
+  std::string v(bytes_.data() + pos_, n);
+  pos_ += n;
   return v;
 }
 
 std::vector<int> SnapshotReader::i32_vec() {
-  const std::uint64_t n = u64();
-  std::vector<int> v(static_cast<std::size_t>(n));
+  std::vector<int> v(length(sizeof(std::int32_t)));
   for (auto& x : v) x = i32();
   return v;
 }
 
 std::vector<long long> SnapshotReader::i64_vec() {
-  const std::uint64_t n = u64();
-  std::vector<long long> v(static_cast<std::size_t>(n));
+  std::vector<long long> v(length(sizeof(std::int64_t)));
   for (auto& x : v) x = i64();
   return v;
 }
 
 std::vector<double> SnapshotReader::f64_vec() {
-  const std::uint64_t n = u64();
-  std::vector<double> v(static_cast<std::size_t>(n));
+  std::vector<double> v(length(sizeof(double)));
   for (auto& x : v) x = f64();
   return v;
 }

@@ -50,7 +50,8 @@ class SnapshotWriter {
 };
 
 /// Consumes the writer's byte sequence; throws qrgrid::Error on
-/// truncation (a short read past the end of the buffer).
+/// truncation (a short read past the end of the buffer, or a length
+/// prefix larger than the bytes that remain).
 class SnapshotReader {
  public:
   explicit SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {}
@@ -72,6 +73,10 @@ class SnapshotReader {
 
  private:
   void take(void* out, std::size_t n);
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// Reads a u64 item count and refuses it unless that many
+  /// `elem_size`-byte items fit in the remaining bytes.
+  std::size_t length(std::size_t elem_size);
 
   std::string bytes_;
   std::size_t pos_ = 0;

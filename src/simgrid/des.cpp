@@ -20,14 +20,53 @@ DesEngine::DesEngine(const GridTopology* topology, model::Roofline roofline)
                            0);
   wan_ingress_bytes_.assign(
       static_cast<std::size_t>(topology->num_clusters()), 0);
+  // Rank placement never changes during a replay: resolve it once here so
+  // the per-message and per-compute paths index arrays instead of scanning
+  // clusters.
+  const double base_peak = topology->cluster(0).proc_peak_gflops;
+  for (int r = 0; r < nprocs(); ++r) {
+    const ProcLocation loc = topology->location_of(r);
+    cluster_of_.push_back(loc.cluster);
+    node_of_.push_back(loc.node);
+    speed_scale_.push_back(topology->cluster(loc.cluster).proc_peak_gflops /
+                           base_peak);
+  }
+}
+
+void DesEngine::check_rank(int rank) const {
+  QRGRID_CHECK_MSG(rank >= 0 && rank < nprocs(), "rank=" << rank);
+}
+
+msg::LinkClass DesEngine::link_class(int a, int b) const {
+  if (a == b) return msg::LinkClass::kSelf;
+  const auto ia = static_cast<std::size_t>(a);
+  const auto ib = static_cast<std::size_t>(b);
+  if (cluster_of_[ia] != cluster_of_[ib]) return msg::LinkClass::kInterCluster;
+  if (node_of_[ia] != node_of_[ib]) return msg::LinkClass::kIntraCluster;
+  return msg::LinkClass::kIntraNode;
+}
+
+LinkParams DesEngine::link(int a, int b, msg::LinkClass cls) const {
+  switch (cls) {
+    case msg::LinkClass::kSelf:
+      return LinkParams{0.0, 1e300};
+    case msg::LinkClass::kIntraNode:
+      return topology_->intra_node_link();
+    case msg::LinkClass::kIntraCluster:
+      return topology_->intra_cluster_link();
+    case msg::LinkClass::kInterCluster:
+      break;
+  }
+  return topology_->inter_cluster_link(
+      cluster_of_[static_cast<std::size_t>(a)],
+      cluster_of_[static_cast<std::size_t>(b)]);
 }
 
 void DesEngine::compute(int rank, double flops, int ncols) {
-  const auto loc = topology_->location_of(rank);
-  const double scale = topology_->cluster(loc.cluster).proc_peak_gflops /
-                       topology_->cluster(0).proc_peak_gflops;
+  check_rank(rank);
   const double seconds =
-      flops / (roofline_.rate_gflops(ncols) * scale * 1e9);
+      flops / (roofline_.rate_gflops(ncols) *
+               speed_scale_[static_cast<std::size_t>(rank)] * 1e9);
   auto& clock = clock_[static_cast<std::size_t>(rank)];
   if (trace_ != nullptr) {
     trace_->record(rank, clock, clock + seconds, ActivityKind::kCompute);
@@ -45,19 +84,18 @@ double DesEngine::compute_utilization() const {
   return acc / (span * static_cast<double>(compute_seconds_.size()));
 }
 
-double DesEngine::transfer(int src, int dst, std::size_t bytes) {
+double DesEngine::transfer(int src, int dst, std::size_t bytes,
+                           msg::LinkClass cls, double latency_s) {
   // Latency overlaps across concurrent messages; the per-flow byte time is
   // paid by the receiver and serializes back-to-back arrivals (LogGP
   // receiver occupancy) — mirrors msg::Comm::recv. Inter-cluster flows
   // additionally contend for their sites' aggregate WAN uplink/downlink.
-  const LinkParams link = topology_->link(src, dst);
-  const msg::LinkClass cls = topology_->link_class(src, dst);
   double start = clock_[static_cast<std::size_t>(src)];
   if (cls == msg::LinkClass::kInterCluster) {
-    const auto sc =
-        static_cast<std::size_t>(topology_->location_of(src).cluster);
-    const auto dc =
-        static_cast<std::size_t>(topology_->location_of(dst).cluster);
+    const auto sc = static_cast<std::size_t>(
+        cluster_of_[static_cast<std::size_t>(src)]);
+    const auto dc = static_cast<std::size_t>(
+        cluster_of_[static_cast<std::size_t>(dst)]);
     start = std::max({start, egress_free_[sc], ingress_free_[dc]});
     const double channel_done =
         start + static_cast<double>(bytes) / wan_aggregate_Bps_;
@@ -77,14 +115,17 @@ double DesEngine::transfer(int src, int dst, std::size_t bytes) {
       static_cast<long long>(bytes);
   // Wire arrival: the receiver additionally pays the per-flow byte time
   // (receiver serialization), added by the caller.
-  return start + link.latency_s;
+  return start + latency_s;
 }
 
 void DesEngine::p2p(int src, int dst, std::size_t bytes) {
+  check_rank(src);
+  check_rank(dst);
   if (src == dst) return;
-  const double flow_time =
-      static_cast<double>(bytes) / topology_->link(src, dst).bandwidth_Bps;
-  const double arrival = transfer(src, dst, bytes);
+  const msg::LinkClass cls = link_class(src, dst);
+  const LinkParams l = link(src, dst, cls);
+  const double flow_time = static_cast<double>(bytes) / l.bandwidth_Bps;
+  const double arrival = transfer(src, dst, bytes, cls, l.latency_s);
   auto& dst_clock = clock_[static_cast<std::size_t>(dst)];
   const double recv_start = std::max(dst_clock, arrival);
   if (trace_ != nullptr) {
@@ -98,6 +139,7 @@ void DesEngine::allreduce(std::span<const int> ranks, std::size_t bytes,
                           double combine_flops, int ncols) {
   const auto p = static_cast<int>(ranks.size());
   if (p <= 1) return;
+  for (int r : ranks) check_rank(r);
   int p2 = 1;
   while (p2 * 2 <= p) p2 *= 2;
   const int rem = p - p2;
@@ -121,10 +163,12 @@ void DesEngine::allreduce(std::span<const int> ranks, std::size_t bytes,
         // Exchange is concurrent: both wire arrivals computed from
         // pre-round clocks (transfer reads the sender clock before either
         // side advances); each side then pays the receive serialization.
-        const double byte_time = static_cast<double>(bytes) /
-                                 topology_->link(a, b).bandwidth_Bps;
-        const double t_ab = transfer(a, b, bytes);
-        const double t_ba = transfer(b, a, bytes);
+        const msg::LinkClass cls = link_class(a, b);
+        const LinkParams l = link(a, b, cls);
+        const double byte_time = static_cast<double>(bytes) / l.bandwidth_Bps;
+        const double t_ab = transfer(a, b, bytes, cls, l.latency_s);
+        const double t_ba =
+            transfer(b, a, bytes, cls, link(b, a, cls).latency_s);
         auto& ca = clock_[static_cast<std::size_t>(a)];
         auto& cb = clock_[static_cast<std::size_t>(b)];
         const double a_start = std::max(ca, t_ba);

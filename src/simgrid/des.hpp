@@ -8,6 +8,12 @@
 // original testbed) in milliseconds. Costs use exactly the same
 // GridTopology links and Roofline rates as the threaded runtime, and the
 // engine-equivalence test pins the two to identical critical paths.
+//
+// The constructor resolves every rank's cluster, node and speed scale
+// through GridTopology::location_of once; compute and transfers then read
+// those per-rank tables, so locating a rank costs an array index rather
+// than a cluster scan per call. Public entries refuse out-of-range
+// ranks with qrgrid::Error.
 #pragma once
 
 #include <cstddef>
@@ -124,12 +130,24 @@ class DesEngine {
   }
 
  private:
-  /// Books the (possibly contended) channel for a transfer and returns
-  /// the arrival time at the receiver; updates counters.
-  double transfer(int src, int dst, std::size_t bytes);
+  /// Throws qrgrid::Error unless 0 <= rank < nprocs().
+  void check_rank(int rank) const;
+
+  /// GridTopology::link_class / link, read from the per-rank tables.
+  msg::LinkClass link_class(int a, int b) const;
+  LinkParams link(int a, int b, msg::LinkClass cls) const;
+
+  /// Books the (possibly contended) channel for a transfer of class `cls`
+  /// and returns the wire arrival time at the receiver; updates counters.
+  double transfer(int src, int dst, std::size_t bytes, msg::LinkClass cls,
+                  double latency_s);
 
   const GridTopology* topology_;
   model::Roofline roofline_;
+  // Per-rank placement, resolved once from GridTopology::location_of.
+  std::vector<int> cluster_of_;      ///< the rank's cluster
+  std::vector<int> node_of_;         ///< its node within that cluster
+  std::vector<double> speed_scale_;  ///< proc peak / cluster 0's proc peak
   std::vector<double> clock_;
   std::vector<double> compute_seconds_;
   TraceLog* trace_ = nullptr;

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+
+#include "common/check.hpp"
+#include "sched/backend.hpp"
 
 namespace qrgrid::simgrid {
 namespace {
@@ -199,6 +203,95 @@ TEST(DesEngine, FasterClusterComputesFaster) {
   engine.compute(0, 100.0, 0);
   engine.compute(1, 100.0, 0);
   EXPECT_DOUBLE_EQ(engine.clock(0) / engine.clock(1), 2.0);
+}
+
+TEST(DesEngine, RejectsOutOfRangeRanks) {
+  GridTopology topo = toy_topology();
+  DesEngine engine(&topo, flat_roofline());
+  const int n = engine.nprocs();
+  EXPECT_THROW(engine.compute(-1, 1.0, 0), Error);
+  EXPECT_THROW(engine.compute(n, 1.0, 0), Error);
+  EXPECT_THROW(engine.p2p(-1, 0, 8), Error);
+  EXPECT_THROW(engine.p2p(0, -1, 8), Error);
+  EXPECT_THROW(engine.p2p(n, 0, 8), Error);
+  EXPECT_THROW(engine.p2p(0, n, 8), Error);
+  const std::vector<int> bad = {0, n};
+  EXPECT_THROW(engine.allreduce(bad, 8, 0.0, 0), Error);
+  EXPECT_THROW(engine.reduce_bcast(bad, 8, 0.0, 0), Error);
+  EXPECT_THROW(engine.bcast(bad, 8), Error);
+}
+
+/// The engine's per-rank tables against GridTopology, the oracle: every
+/// grid5000 shape the service builds, plus a placement sub-topology with
+/// unequal node counts whose cluster order is not the master's.
+std::vector<GridTopology> differential_topologies() {
+  std::vector<GridTopology> topos;
+  for (int sites = 1; sites <= 4; ++sites) {
+    for (int ppn = 1; ppn <= 2; ++ppn) {
+      topos.push_back(GridTopology::grid5000(sites, 3, ppn));
+    }
+  }
+  const GridTopology master = GridTopology::grid5000(4, 4, 2);
+  topos.push_back(
+      sched::make_sub_topology(master, {3, 0, 1, 2}, {3, 1, 0, 2}).topology);
+  return topos;
+}
+
+TEST(DesEngine, P2pMatchesTopologyOnEveryRankPair) {
+  const std::size_t bytes = 12345;
+  for (const GridTopology& topo : differential_topologies()) {
+    const int n = topo.total_procs();
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        const std::string label = std::to_string(topo.num_clusters()) +
+                                  " clusters, " + std::to_string(n) +
+                                  " ranks, " + std::to_string(a) + "->" +
+                                  std::to_string(b);
+        DesEngine engine(&topo, model::paper_calibration());
+        engine.p2p(a, b, bytes);
+        if (a == b) {
+          EXPECT_EQ(engine.clock(b), 0.0) << label;
+          EXPECT_EQ(engine.messages(), 0) << label;
+          continue;
+        }
+        const LinkParams link = topo.link(a, b);
+        const msg::LinkClass cls = topo.link_class(a, b);
+        EXPECT_EQ(engine.clock(b), link.latency_s + static_cast<double>(bytes) /
+                                                        link.bandwidth_Bps)
+            << label;
+        EXPECT_EQ(engine.clock(a), 0.0) << label;
+        EXPECT_EQ(engine.messages(), 1) << label;
+        EXPECT_EQ(engine.messages_of(cls), 1) << label;
+        EXPECT_EQ(engine.bytes_of(cls), static_cast<long long>(bytes))
+            << label;
+        const int ca = topo.location_of(a).cluster;
+        const int cb = topo.location_of(b).cluster;
+        const long long wan =
+            cls == msg::LinkClass::kInterCluster ? static_cast<long long>(bytes)
+                                                 : 0;
+        EXPECT_EQ(engine.wan_egress_bytes(ca), wan) << label;
+        EXPECT_EQ(engine.wan_ingress_bytes(cb), wan) << label;
+      }
+    }
+  }
+}
+
+TEST(DesEngine, ComputeMatchesTopologySpeedOnEveryRank) {
+  const model::Roofline roof = model::paper_calibration();
+  const double flops = 3.5e9;
+  const int ncols = 64;
+  for (const GridTopology& topo : differential_topologies()) {
+    DesEngine engine(&topo, roof);
+    for (int r = 0; r < topo.total_procs(); ++r) {
+      engine.compute(r, flops, ncols);
+      const double scale =
+          topo.cluster(topo.location_of(r).cluster).proc_peak_gflops /
+          topo.cluster(0).proc_peak_gflops;
+      EXPECT_EQ(engine.clock(r),
+                flops / (roof.rate_gflops(ncols) * scale * 1e9))
+          << "rank " << r << " of " << topo.total_procs();
+    }
+  }
 }
 
 }  // namespace

@@ -210,6 +210,30 @@ TEST(SnapshotRestore, RefusesMismatchedConfigurationAndGarbage) {
       Error);
 }
 
+TEST(SnapshotReader, RefusesLengthPrefixesLargerThanTheBytesLeft) {
+  // A corrupt length must be refused before anything is sized from it:
+  // 2^33 items would otherwise request tens of GiB, and 2^64 - 1 string
+  // bytes would wrap the end-of-buffer test.
+  for (const std::uint64_t n : {std::uint64_t{1} << 33, ~std::uint64_t{0}}) {
+    SnapshotWriter w;
+    w.u64(n);
+    w.i64(7);  // a few trailing bytes, far fewer than n items
+    EXPECT_THROW(SnapshotReader(w.bytes()).i32_vec(), Error) << n;
+    EXPECT_THROW(SnapshotReader(w.bytes()).i64_vec(), Error) << n;
+    EXPECT_THROW(SnapshotReader(w.bytes()).f64_vec(), Error) << n;
+    EXPECT_THROW(SnapshotReader(w.bytes()).str(), Error) << n;
+  }
+  // One item too many for the bytes left is refused; an exact fit is not.
+  SnapshotWriter w;
+  w.i64_vec({1, 2});
+  std::string short_by_one = w.bytes();
+  short_by_one.resize(short_by_one.size() - 1);
+  EXPECT_THROW(SnapshotReader(short_by_one).i64_vec(), Error);
+  SnapshotReader r(w.bytes());
+  EXPECT_EQ(r.i64_vec(), (std::vector<long long>{1, 2}));
+  EXPECT_TRUE(r.at_end());
+}
+
 // --------------------------------------------------------- explorer
 
 TEST(ExploreService, AllTiedArrivalBatchEnumeratesTheFullFactorial) {
