@@ -5,6 +5,14 @@
 // locality (axpy-style inner loops over contiguous columns). These are the
 // "GotoBLAS substitute" of the reproduction: correctness-first, with enough
 // blocking that benchmark shapes run at a consistent (measurable) rate.
+//
+// Bit-identity contract: every kernel returns exactly the bits of the plain
+// loops it replaced (each sum accumulated from 0.0 in index order, no
+// reassociation, no FMA contraction). Speed comes from running several
+// independent sums at once: dot4 advances four dot products sharing x in
+// one pass, so each chain's add latency hides behind the others and x is
+// loaded once instead of four times. tests/kernel_oracle_test.cpp holds the
+// plain loops and compares every kernel against them with memcmp.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -19,8 +27,18 @@ enum class Trans { No, Yes };
 /// following the LAPACK dnrm2 algorithm.
 double nrm2(Index n, const double* x);
 
-/// Dot product of stride-1 n-vectors.
+/// Dot product of stride-1 n-vectors, accumulated from 0.0 in index order.
 double dot(Index n, const double* x, const double* y);
+
+/// out[c] = dot(n, x, y_c) for c = 0..3, as four interleaved chains with
+/// dot's exact order: the results are bit-for-bit dot's.
+void dot4(Index n, const double* x, const double* y0, const double* y1,
+          const double* y2, const double* y3, double* out);
+
+/// out[j] = dot(rows(a), x, a(:, j)) for every column j of `a`, four
+/// columns per dot4 pass. IEEE products commute, so a caller may pass the
+/// shared vector as x whichever operand it was.
+void dot_columns(const double* x, ConstMatrixView a, double* out);
 
 /// y += alpha * x for stride-1 n-vectors.
 void axpy(Index n, double alpha, const double* x, double* y);

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include "linalg/blas.hpp"
 
 namespace qrgrid {
@@ -9,8 +12,25 @@ namespace {
 constexpr Index kMC = 128;
 constexpr Index kKC = 128;
 
-double elem(ConstMatrixView v, Trans t, Index i, Index j) {
-  return t == Trans::No ? v(i, j) : v(j, i);
+/// y += w[0] x[0] + ... + w[K-1] x[K-1], added term by term per element:
+/// exactly the bits of K successive axpys, in one pass over y.
+template <int K>
+void axpy_fused(Index n, const double* w, const double* const* x, double* y) {
+  for (Index i = 0; i < n; ++i) {
+    double yi = y[i];
+    for (int t = 0; t < K; ++t) yi += w[t] * x[t][i];
+    y[i] = yi;
+  }
+}
+
+void axpy_fused(Index n, int count, const double* w, const double* const* x,
+                double* y) {
+  switch (count) {
+    case 4: return axpy_fused<4>(n, w, x, y);
+    case 3: return axpy_fused<3>(n, w, x, y);
+    case 2: return axpy_fused<2>(n, w, x, y);
+    case 1: return axpy(n, w[0], x[0], y);
+  }
 }
 
 }  // namespace
@@ -39,41 +59,65 @@ void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 
   if (ta == Trans::No && tb == Trans::No) {
     // Blocked axpy formulation: C(:,j) += (alpha*B(k,j)) * A(:,k), with A
-    // traversed panel by panel so its columns stay cache-resident.
+    // traversed panel by panel so its columns stay cache-resident. Up to
+    // four consecutive nonzero terms share one pass over C(:,j); zero
+    // terms are skipped, as axpy would skip them.
     for (Index k0 = 0; k0 < k; k0 += kKC) {
       const Index kb = std::min(kKC, k - k0);
       for (Index i0 = 0; i0 < m; i0 += kMC) {
         const Index ib = std::min(kMC, m - i0);
         for (Index j = 0; j < n; ++j) {
-          double* cj = &c(i0, j);
+          double w[4];
+          const double* x[4];
+          int count = 0;
           for (Index kk = 0; kk < kb; ++kk) {
-            const double w = alpha * b(k0 + kk, j);
-            if (w != 0.0) axpy(ib, w, &a(i0, k0 + kk), cj);
+            w[count] = alpha * b(k0 + kk, j);
+            if (w[count] == 0.0) continue;
+            x[count] = &a(i0, k0 + kk);
+            if (++count == 4) {
+              axpy_fused(ib, count, w, x, &c(i0, j));
+              count = 0;
+            }
           }
+          axpy_fused(ib, count, w, x, &c(i0, j));
         }
       }
     }
     return;
   }
-  if (ta == Trans::Yes && tb == Trans::No) {
-    // C(i,j) += alpha * dot(A(:,i), B(:,j)): both operands stream down
-    // contiguous columns.
-    for (Index j = 0; j < n; ++j) {
-      for (Index i = 0; i < m; ++i) {
-        c(i, j) += alpha * dot(k, &a(0, i), &b(0, j));
+  if (ta == Trans::No) {
+    // C(i,j) += alpha * sum_kk A(i,kk) B(j,kk): row-blocked accumulators,
+    // one per C entry, each summed over kk in order while the A block
+    // stays in cache across j.
+    double acc[kMC];
+    for (Index i0 = 0; i0 < m; i0 += kMC) {
+      const Index ib = std::min(kMC, m - i0);
+      for (Index j = 0; j < n; ++j) {
+        std::fill(acc, acc + ib, 0.0);
+        for (Index kk = 0; kk < k; ++kk) {
+          const double* ak = &a(i0, kk);
+          const double bjk = b(j, kk);
+          for (Index i = 0; i < ib; ++i) acc[i] += ak[i] * bjk;
+        }
+        for (Index i = 0; i < ib; ++i) c(i0 + i, j) += alpha * acc[i];
       }
     }
     return;
   }
-  // Remaining transpose combinations are used rarely (small blocks); a
-  // straightforward triple loop is sufficient.
+  // C(i,j) += alpha * dot(A(:,i), op(B)(:,j)): the columns of A stream
+  // through dot_columns against op(B)(:,j), gathered when B is transposed.
+  std::vector<double> dots(static_cast<std::size_t>(m));
+  std::vector<double> row(static_cast<std::size_t>(tb == Trans::Yes ? k : 0));
   for (Index j = 0; j < n; ++j) {
+    const double* bj = row.data();
+    if (tb == Trans::No) {
+      bj = &b(0, j);
+    } else {
+      for (Index kk = 0; kk < k; ++kk) row.data()[kk] = b(j, kk);
+    }
+    dot_columns(bj, a, dots.data());
     for (Index i = 0; i < m; ++i) {
-      double acc = 0.0;
-      for (Index kk = 0; kk < k; ++kk) {
-        acc += elem(a, ta, i, kk) * elem(b, tb, kk, j);
-      }
-      c(i, j) += alpha * acc;
+      c(i, j) += alpha * dots[static_cast<std::size_t>(i)];
     }
   }
 }
@@ -173,9 +217,13 @@ void syrk_upper_at_a(double alpha, ConstMatrixView a, double beta,
   const Index n = a.cols();
   const Index m = a.rows();
   QRGRID_CHECK(c.rows() == n && c.cols() == n);
-  for (Index j = 0; j < n; ++j) {
-    for (Index i = 0; i <= j; ++i) {
-      c(i, j) = beta * c(i, j) + alpha * dot(m, &a(0, i), &a(0, j));
+  // Row i of the upper triangle is one dot_columns sweep of A(:, i:n)
+  // against A(:, i).
+  std::vector<double> dots(static_cast<std::size_t>(n));
+  for (Index i = 0; i < n; ++i) {
+    dot_columns(&a(0, i), a.block(0, i, m, n - i), dots.data());
+    for (Index j = i; j < n; ++j) {
+      c(i, j) = beta * c(i, j) + alpha * dots[static_cast<std::size_t>(j - i)];
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "linalg/householder.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/blas.hpp"
@@ -24,19 +25,28 @@ Reflector larfg(double alpha, Index n, double* x) {
   return r;
 }
 
-void larf_left(double tau, const double* v_tail, MatrixView c, double* work) {
+void larf_left(double tau, const double* v_tail, MatrixView c) {
   if (tau == 0.0 || c.empty()) return;
-  const Index m = c.rows();
-  const Index n = c.cols();
-  // work := C^T v  (v = [1; v_tail])
-  for (Index j = 0; j < n; ++j) {
-    work[j] = c(0, j) + dot(m - 1, v_tail, &c(1, j));
-  }
-  // C -= tau * v * work^T
-  for (Index j = 0; j < n; ++j) {
-    const double w = tau * work[j];
-    c(0, j) -= w;
-    axpy(m - 1, -w, v_tail, &c(1, j));
+  larf_left_split(tau, v_tail, &c(0, 0), c.ld(),
+                  c.block(1, 0, c.rows() - 1, c.cols()));
+}
+
+void larf_left_split(double tau, const double* v, double* top,
+                     Index top_stride, MatrixView bottom) {
+  if (tau == 0.0) return;
+  const Index len = bottom.rows();
+  const Index n = bottom.cols();
+  double dots[4];
+  for (Index j0 = 0; j0 < n; j0 += 4) {
+    const Index jb = std::min<Index>(4, n - j0);
+    // work := C^T [1; v], then C -= tau * [1; v] * work^T.
+    dot_columns(v, bottom.block(0, j0, len, jb), dots);
+    for (Index j = 0; j < jb; ++j) {
+      double& head = top[(j0 + j) * top_stride];
+      const double w = tau * (head + dots[j]);
+      head -= w;
+      axpy(len, -w, v, &bottom(0, j0 + j));
+    }
   }
 }
 

@@ -22,7 +22,17 @@ Reflector larfg(double alpha, Index n, double* x);
 
 /// Applies H = I - tau * v v^T from the left to C (rows(C) == len(v)),
 /// where v has an implicit leading 1 followed by `v_tail` of length
-/// rows(C) - 1. `work` must hold cols(C) doubles.
-void larf_left(double tau, const double* v_tail, MatrixView c, double* work);
+/// rows(C) - 1.
+void larf_left(double tau, const double* v_tail, MatrixView c);
+
+/// larf_left with C's head row stored apart from the rest, as in the TPQRT
+/// combine kernels: applies H = I - tau * [1; v][1; v]^T to [top; bottom],
+/// where `top` holds cols(bottom) entries `top_stride` apart and `v` holds
+/// rows(bottom). Columns go four at a time: one dot4 pass gives their
+/// C^T v entries, then each column takes its axpy while still in cache.
+/// Every entry gets exactly the bits of the column-at-a-time dot + axpy
+/// loop (see blas.hpp's bit-identity contract).
+void larf_left_split(double tau, const double* v, double* top,
+                     Index top_stride, MatrixView bottom);
 
 }  // namespace qrgrid

@@ -12,7 +12,6 @@ void geqr2(MatrixView a, std::vector<double>& tau) {
   const Index n = a.cols();
   const Index k = std::min(m, n);
   tau.assign(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> work(static_cast<std::size_t>(n));
   for (Index j = 0; j < k; ++j) {
     // Generate the reflector for column j from A(j:m, j).
     Reflector r = larfg(a(j, j), m - j - 1, &a(j + 1, j));
@@ -20,8 +19,7 @@ void geqr2(MatrixView a, std::vector<double>& tau) {
     a(j, j) = r.beta;
     if (j + 1 < n) {
       // Apply H_j to the trailing columns A(j:m, j+1:n).
-      larf_left(r.tau, &a(j + 1, j), a.block(j, j + 1, m - j, n - j - 1),
-                work.data());
+      larf_left(r.tau, &a(j + 1, j), a.block(j, j + 1, m - j, n - j - 1));
     }
   }
 }
@@ -117,14 +115,13 @@ Matrix orgqr(ConstMatrixView a, const std::vector<double>& tau, Index n_cols) {
   Matrix q(m, n_cols);
   for (Index j = 0; j < n_cols; ++j) q(j, j) = 1.0;
   // Apply H_0 ... H_{k-1} to I from the left in reverse (dorg2r).
-  std::vector<double> work(static_cast<std::size_t>(n_cols));
   for (Index i = k - 1; i >= 0; --i) {
     const double taui = tau[static_cast<std::size_t>(i)];
     if (taui == 0.0) continue;
     // Reflector i tail lives in a(i+1:m, i).
     MatrixView c = q.block(i, i, m - i, n_cols - i);
     // larf_left expects the tail contiguous; column of a is contiguous.
-    larf_left(taui, &a(i + 1, i), c, work.data());
+    larf_left(taui, &a(i + 1, i), c);
   }
   return q;
 }
@@ -134,18 +131,17 @@ void ormqr_left(Trans trans, ConstMatrixView a, const std::vector<double>& tau,
   const Index m = a.rows();
   const Index k = static_cast<Index>(tau.size());
   QRGRID_CHECK(c.rows() == m);
-  std::vector<double> work(static_cast<std::size_t>(c.cols()));
   // Q = H_0 H_1 ... H_{k-1}; Q^T C applies H_0 first, Q C applies H_{k-1}
   // first.
   if (trans == Trans::Yes) {
     for (Index i = 0; i < k; ++i) {
       larf_left(tau[static_cast<std::size_t>(i)], &a(i + 1, i),
-                c.block(i, 0, m - i, c.cols()), work.data());
+                c.block(i, 0, m - i, c.cols()));
     }
   } else {
     for (Index i = k - 1; i >= 0; --i) {
       larf_left(tau[static_cast<std::size_t>(i)], &a(i + 1, i),
-                c.block(i, 0, m - i, c.cols()), work.data());
+                c.block(i, 0, m - i, c.cols()));
     }
   }
 }

@@ -20,13 +20,10 @@ void tpqrt_tt(MatrixView r1, MatrixView r2, std::vector<double>& tau) {
     Reflector refl = larfg(r1(j, j), len, x);
     tau[static_cast<std::size_t>(j)] = refl.tau;
     r1(j, j) = refl.beta;
-    if (refl.tau == 0.0) continue;
     // Update trailing columns k > j: only row j of R1 and rows 0..j of R2.
-    for (Index k = j + 1; k < n; ++k) {
-      double w = r1(j, k) + dot(len, x, &r2(0, k));
-      w *= refl.tau;
-      r1(j, k) -= w;
-      axpy(len, -w, x, &r2(0, k));
+    if (j + 1 < n) {
+      larf_left_split(refl.tau, x, &r1(j, j + 1), r1.ld(),
+                      r2.block(0, j + 1, len, n - j - 1));
     }
   }
 }
@@ -37,19 +34,12 @@ void tpmqrt_tt(Trans trans, ConstMatrixView v2, const std::vector<double>& tau,
   const Index p = c1.cols();
   QRGRID_CHECK(v2.cols() == n && c1.rows() == n && c2.rows() == n &&
                c2.cols() == p);
+  if (p == 0) return;
   // Q = H_0 H_1 ... H_{n-1}. Q^T C applies H_0 first; Q C applies H_{n-1}
   // first. Reflector j: rows {top j} U {bottom 0..j}.
   auto apply_one = [&](Index j) {
-    const double tj = tau[static_cast<std::size_t>(j)];
-    if (tj == 0.0) return;
-    const Index len = j + 1;
-    const double* v = &v2(0, j);
-    for (Index k = 0; k < p; ++k) {
-      double w = c1(j, k) + dot(len, v, &c2(0, k));
-      w *= tj;
-      c1(j, k) -= w;
-      axpy(len, -w, v, &c2(0, k));
-    }
+    larf_left_split(tau[static_cast<std::size_t>(j)], &v2(0, j), &c1(j, 0),
+                    c1.ld(), c2.block(0, 0, j + 1, p));
   };
   if (trans == Trans::Yes) {
     for (Index j = 0; j < n; ++j) apply_one(j);
@@ -69,12 +59,9 @@ void tpqrt_td(MatrixView r1, MatrixView b, std::vector<double>& tau) {
     Reflector refl = larfg(r1(j, j), m, x);
     tau[static_cast<std::size_t>(j)] = refl.tau;
     r1(j, j) = refl.beta;
-    if (refl.tau == 0.0) continue;
-    for (Index k = j + 1; k < n; ++k) {
-      double w = r1(j, k) + dot(m, x, &b(0, k));
-      w *= refl.tau;
-      r1(j, k) -= w;
-      axpy(m, -w, x, &b(0, k));
+    if (j + 1 < n) {
+      larf_left_split(refl.tau, x, &r1(j, j + 1), r1.ld(),
+                      b.block(0, j + 1, m, n - j - 1));
     }
   }
 }
@@ -85,16 +72,10 @@ void tpmqrt_td(Trans trans, ConstMatrixView v2, const std::vector<double>& tau,
   const Index m = v2.rows();
   const Index p = c1.cols();
   QRGRID_CHECK(c1.rows() == n && c2.rows() == m && c2.cols() == p);
+  if (p == 0) return;
   auto apply_one = [&](Index j) {
-    const double tj = tau[static_cast<std::size_t>(j)];
-    if (tj == 0.0) return;
-    const double* v = &v2(0, j);
-    for (Index k = 0; k < p; ++k) {
-      double w = c1(j, k) + dot(m, v, &c2(0, k));
-      w *= tj;
-      c1(j, k) -= w;
-      axpy(m, -w, v, &c2(0, k));
-    }
+    larf_left_split(tau[static_cast<std::size_t>(j)], &v2(0, j), &c1(j, 0),
+                    c1.ld(), c2);
   };
   if (trans == Trans::Yes) {
     for (Index j = 0; j < n; ++j) apply_one(j);

@@ -119,6 +119,7 @@
 //       oracle-free run. Non-zero exit on any violation, with the
 //       choice-sequence reproduction recipe printed per finding.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -149,6 +150,33 @@ using namespace qrgrid;
 
 namespace {
 
+/// `raw` as a base-10 integer that fits T, all of it: "12abc", "1e3" and
+/// a value past T's range are refused with an Error naming `what`.
+template <typename T>
+T parse_integer(const std::string& what, const std::string& raw) {
+  T value{};
+  const char* end = raw.data() + raw.size();
+  const auto [stop, ec] = std::from_chars(raw.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw Error(what + " value '" + raw + "' is out of range");
+  }
+  if (ec != std::errc() || stop != end) {
+    throw Error(what + " expects an integer, got '" + raw + "'");
+  }
+  return value;
+}
+
+/// `raw` as a finite real number, all of it; anything else is an Error.
+double parse_real(const std::string& what, const std::string& raw) {
+  double value = 0.0;
+  const char* end = raw.data() + raw.size();
+  const auto [stop, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    throw Error(what + " expects a finite number, got '" + raw + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -159,9 +187,15 @@ struct Args {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
-  double num(const std::string& name, double fallback) const {
+  template <typename T>
+  T integer(const std::string& name, T fallback) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    return it == options.end() ? fallback
+                               : parse_integer<T>("--" + name, it->second);
+  }
+  double real(const std::string& name, double fallback) const {
+    auto it = options.find(name);
+    return it == options.end() ? fallback : parse_real("--" + name, it->second);
   }
 };
 
@@ -192,9 +226,8 @@ core::TreeKind tree_of(const std::string& name) {
 
 simgrid::GridTopology topo_of(const Args& args) {
   return simgrid::GridTopology::grid5000(
-      static_cast<int>(args.num("sites", 4)),
-      static_cast<int>(args.num("nodes", 32)),
-      static_cast<int>(args.num("procs-per-node", 2)));
+      args.integer<int>("sites", 4), args.integer<int>("nodes", 32),
+      args.integer<int>("procs-per-node", 2));
 }
 
 int cmd_topology(const Args& args) {
@@ -235,13 +268,13 @@ core::DesRunResult run_sim(const Args& args,
   const model::Roofline roof = model::paper_calibration();
   if (algo == "tsqr") {
     return core::run_des_tsqr(topo, roof,
-                              static_cast<int>(args.num("domains", 64)), m,
+                              args.integer<int>("domains", 64), m,
                               n, tree_of(args.get("tree", "grid")),
                               args.flag("form-q"));
   }
   if (algo == "scalapack") {
     return core::run_des_scalapack(topo, roof, m, n,
-                                   static_cast<int>(args.num("nb", 64)),
+                                   args.integer<int>("nb", 64),
                                    args.flag("form-q"));
   }
   throw Error("unknown --algo '" + algo + "' (tsqr|scalapack)");
@@ -249,8 +282,8 @@ core::DesRunResult run_sim(const Args& args,
 
 int cmd_simulate(const Args& args) {
   simgrid::GridTopology topo = topo_of(args);
-  const double m = args.num("m", 1 << 22);
-  const double n = args.num("n", 64);
+  const double m = args.real("m", 1 << 22);
+  const double n = args.real("n", 64);
   core::DesRunResult r = run_sim(args, topo, m, n);
   std::cout << args.get("algo", "tsqr") << " on "
             << format_number(m) << " x " << format_number(n) << " over "
@@ -273,7 +306,7 @@ int cmd_simulate(const Args& args) {
     engine.set_trace(&log);
     if (args.get("algo", "tsqr") == "tsqr") {
       core::DomainLayout layout = core::make_domain_layout(
-          topo, static_cast<int>(args.num("domains", 64)));
+          topo, args.integer<int>("domains", 64));
       core::des_tsqr(engine, layout.groups, layout.domain_cluster, m, n,
                      tree_of(args.get("tree", "grid")), args.flag("form-q"));
     } else {
@@ -282,11 +315,11 @@ int cmd_simulate(const Args& args) {
         ranks[static_cast<std::size_t>(i)] = i;
       }
       core::des_pdgeqrf(engine, ranks, m, n,
-                        static_cast<int>(args.num("nb", 64)),
+                        args.integer<int>("nb", 64),
                         args.flag("form-q"));
     }
     const int rows = std::min(topo.total_procs(),
-                              static_cast<int>(args.num("rows", 16)));
+                              args.integer<int>("rows", 16));
     std::cout << "\nTimeline (first " << rows << " ranks):\n"
               << simgrid::render_timeline(log, rows, engine.makespan(), 72);
   }
@@ -295,7 +328,7 @@ int cmd_simulate(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   simgrid::GridTopology topo = topo_of(args);
-  const double n = args.num("n", 64);
+  const double n = args.real("n", 64);
   std::cout << "# M  Gflop/s (" << args.get("algo", "tsqr") << ", N="
             << format_number(n) << ", sites=" << topo.num_clusters()
             << ")\n";
@@ -309,10 +342,10 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_factor(const Args& args) {
-  const int procs = static_cast<int>(args.num("procs", 8));
-  const Index m_loc = static_cast<Index>(args.num("rows-per-proc", 1024));
-  const Index n = static_cast<Index>(args.num("n", 32));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 2026));
+  const int procs = args.integer<int>("procs", 8);
+  const Index m_loc = args.integer<Index>("rows-per-proc", 1024);
+  const Index n = args.integer<Index>("n", 32);
+  const auto seed = args.integer<std::uint64_t>("seed", 2026);
 
   // Build a small grid holding exactly `procs` ranks (2 sites when even).
   const int sites = procs % 2 == 0 && procs >= 4 ? 2 : 1;
@@ -374,23 +407,17 @@ int cmd_serve(const Args& args) {
   const bool msg_backend = backend == sched::BackendKind::kMsgRuntime;
 
   sched::WorkloadSpec spec;
-  spec.jobs = static_cast<int>(args.num("jobs", msg_backend ? 20 : 200));
-  spec.mean_interarrival_s = args.num("arrival-s", msg_backend ? 0.004 : 0.25);
-  spec.seed = static_cast<std::uint64_t>(args.num("seed", 2026));
-  spec.users = static_cast<int>(args.num("users", 1));
-  spec.priority_levels = static_cast<int>(args.num("priorities", 1));
+  spec.jobs = args.integer<int>("jobs", msg_backend ? 20 : 200);
+  spec.mean_interarrival_s = args.real("arrival-s", msg_backend ? 0.004 : 0.25);
+  spec.seed = args.integer<std::uint64_t>("seed", 2026);
+  spec.users = args.integer<int>("users", 1);
+  spec.priority_levels = args.integer<int>("priorities", 1);
   const std::string weights = args.get("weights", "");
   if (!weights.empty()) {
     std::string token;
     for (std::istringstream stream(weights); std::getline(stream, token, ',');) {
-      std::size_t parsed = 0;
-      double value = 0.0;
-      try {
-        value = std::stod(token, &parsed);
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed != token.size() || token.empty() || value <= 0.0) {
+      const double value = parse_real("--weights entry", token);
+      if (value <= 0.0) {
         throw Error("--weights expects comma-separated positive numbers "
                     "(got '" + weights + "')");
       }
@@ -412,7 +439,7 @@ int cmd_serve(const Args& args) {
     // at least n local rows — a whole-grid job is granted all `total`
     // processes plus up to one node's worth of round-up per group.
     const int max_n = 32;
-    const int ppn = static_cast<int>(args.num("procs-per-node", 2));
+    const int ppn = args.integer<int>("procs-per-node", 2);
     const double min_m =
         static_cast<double>(max_n) * (total + 8 * std::max(1, ppn - 1));
     double m = 512;
@@ -424,13 +451,13 @@ int cmd_serve(const Args& args) {
   std::vector<sched::Job> jobs = sched::generate_workload(spec);
 
   // Fault and walltime knobs, shared by every policy below.
-  const double mtbf_s = args.num("mtbf", 0.0);
-  const double walltime_factor = args.num("walltime-factor", 0.0);
+  const double mtbf_s = args.real("mtbf", 0.0);
+  const double walltime_factor = args.real("walltime-factor", 0.0);
   sched::OutageSpec outage_spec;
   outage_spec.mtbf_s = mtbf_s;
-  outage_spec.mean_outage_s = args.num("repair", mtbf_s / 10.0);
+  outage_spec.mean_outage_s = args.real("repair", mtbf_s / 10.0);
   outage_spec.seed =
-      static_cast<std::uint64_t>(args.num("outage-seed", 1 + spec.seed));
+      args.integer<std::uint64_t>("outage-seed", 1 + spec.seed);
   if (walltime_factor > 0.0) {
     const sched::GridJobService predictor(topo, roof);
     sched::assign_walltimes(
@@ -450,14 +477,14 @@ int cmd_serve(const Args& args) {
 
   // Observability knobs. Any of --trace-out / --metrics-out / --gantt
   // arms the tracer; --gantt's optional value is the cluster budget (a
-  // bare flag parses as "", NOT a number — args.num would throw).
+  // bare flag parses as "", NOT a number — args.integer would throw).
   const std::string trace_out = args.get("trace-out", "");
   const std::string metrics_out = args.get("metrics-out", "");
   const bool want_gantt = args.flag("gantt");
   int gantt_clusters = 8;
   {
     const std::string raw = args.get("gantt", "");
-    if (!raw.empty()) gantt_clusters = std::stoi(raw);
+    if (!raw.empty()) gantt_clusters = parse_integer<int>("--gantt", raw);
   }
   const std::string critpath_out = args.get("critpath-out", "");
   const bool want_blame = args.flag("blame");
@@ -465,7 +492,7 @@ int cmd_serve(const Args& args) {
   // Checkpoint/restart: a snapshot embeds ONE service configuration, so
   // the multi-policy sweep cannot carry either flag.
   const std::string checkpoint_out = args.get("checkpoint-out", "");
-  const double checkpoint_at = args.num("checkpoint-at", 0.0);
+  const double checkpoint_at = args.real("checkpoint-at", 0.0);
   const std::string resume_path = args.get("resume", "");
   if ((!checkpoint_out.empty() || !resume_path.empty()) &&
       policies.size() > 1) {
@@ -510,7 +537,7 @@ int cmd_serve(const Args& args) {
               << format_number(outage_spec.mtbf_s, 4) << " s, mean repair "
               << format_number(outage_spec.mean_outage_s, 4) << " s (seed "
               << outage_spec.seed << "), "
-              << static_cast<int>(args.num("retries", 3)) << " retries"
+              << args.integer<int>("retries", 3) << " retries"
               << (args.flag("restart-credit") ? ", restart credit" : "")
               << '\n';
   }
@@ -532,7 +559,7 @@ int cmd_serve(const Args& args) {
   }
   const sched::WanFairness wan_fairness =
       sched::wan_fairness_of(args.get("wan-fair", "equal"));
-  const double wan_gbps = args.num("wan-gbps", 10.0);
+  const double wan_gbps = args.real("wan-gbps", 10.0);
   if (wan_contention) {
     std::cout << "Shared WAN: " << format_number(wan_gbps, 4)
               << " Gb/s per site uplink, "
@@ -563,22 +590,21 @@ int cmd_serve(const Args& args) {
     if (mtbf_s > 0.0) {
       options.outages = sched::OutageTrace(outage_spec, topo.num_clusters());
     }
-    options.max_retries = static_cast<int>(args.num("retries", 3));
-    options.backfill_depth =
-        static_cast<int>(args.num("backfill-depth", 0));
+    options.max_retries = args.integer<int>("retries", 3);
+    options.backfill_depth = args.integer<int>("backfill-depth", 0);
     options.restart_credit = args.flag("restart-credit");
-    options.checkpoint_panels = static_cast<int>(args.num("panels", 8));
-    options.checkpoint_cost_s = args.num("checkpoint-cost", 0.0);
+    options.checkpoint_panels = args.integer<int>("panels", 8);
+    options.checkpoint_cost_s = args.real("checkpoint-cost", 0.0);
     options.wan_link_Bps = wan_gbps * 1e9 / 8.0;
-    options.wan_backbone_Bps = args.num("backbone-gbps", 0.0) * 1e9 / 8.0;
+    options.wan_backbone_Bps = args.real("backbone-gbps", 0.0) * 1e9 / 8.0;
     options.wan_contention = wan_contention;
     options.wan_aware = wan_aware;
     options.wan_fairness = wan_fairness;
     options.backend = backend;
     // The msg backend defaults to the one-domain-per-process layout the
     // equivalence suite validates the predictor under.
-    options.domains_per_cluster = static_cast<int>(args.num(
-        "domains", msg_backend ? core::kOneDomainPerProcess : 0));
+    options.domains_per_cluster = args.integer<int>(
+        "domains", msg_backend ? core::kOneDomainPerProcess : 0);
     sched::GridJobService service(topo, roof, options);
     sched::ServiceReport report;
     if (!resume_path.empty()) {
@@ -727,15 +753,15 @@ int cmd_explore(const Args& args) {
   const bool msg_backend = backend == sched::BackendKind::kMsgRuntime;
 
   sched::WorkloadSpec spec;
-  spec.jobs = static_cast<int>(args.num("jobs", 6));
+  spec.jobs = args.integer<int>("jobs", 6);
   QRGRID_CHECK_MSG(
       spec.jobs >= 1 && spec.jobs <= 16,
       "explore enumerates EVERY tie ordering (exponential): --jobs must "
       "be in [1, 16], got " << spec.jobs);
-  spec.mean_interarrival_s = args.num("arrival-s", 0.05);
-  spec.seed = static_cast<std::uint64_t>(args.num("seed", 2026));
-  spec.users = static_cast<int>(args.num("users", 1));
-  spec.priority_levels = static_cast<int>(args.num("priorities", 1));
+  spec.mean_interarrival_s = args.real("arrival-s", 0.05);
+  spec.seed = args.integer<std::uint64_t>("seed", 2026);
+  spec.users = args.integer<int>("users", 1);
+  spec.priority_levels = args.integer<int>("priorities", 1);
   const int total = topo.total_procs();
   spec.procs_choices.clear();
   for (int p = std::min(total, std::max(2, total / 16)); p <= total;
@@ -744,7 +770,7 @@ int cmd_explore(const Args& args) {
   }
   if (msg_backend) {
     const int max_n = 32;
-    const int ppn = static_cast<int>(args.num("procs-per-node", 2));
+    const int ppn = args.integer<int>("procs-per-node", 2);
     const double min_m =
         static_cast<double>(max_n) * (total + 8 * std::max(1, ppn - 1));
     double m = 512;
@@ -756,20 +782,20 @@ int cmd_explore(const Args& args) {
   std::vector<sched::Job> jobs = sched::generate_workload(spec);
   // Poisson arrivals almost never tie; snapping them onto a coarse grid
   // manufactures the same-instant arrival groups worth exploring.
-  const double quantize = args.num("quantize-s", 0.0);
+  const double quantize = args.real("quantize-s", 0.0);
   if (quantize > 0.0) {
     for (sched::Job& job : jobs) {
       job.arrival_s = std::floor(job.arrival_s / quantize) * quantize;
     }
   }
 
-  const double mtbf_s = args.num("mtbf", 0.0);
+  const double mtbf_s = args.real("mtbf", 0.0);
   sched::OutageSpec outage_spec;
   outage_spec.mtbf_s = mtbf_s;
-  outage_spec.mean_outage_s = args.num("repair", mtbf_s / 10.0);
+  outage_spec.mean_outage_s = args.real("repair", mtbf_s / 10.0);
   outage_spec.seed =
-      static_cast<std::uint64_t>(args.num("outage-seed", 1 + spec.seed));
-  const double walltime_factor = args.num("walltime-factor", 0.0);
+      args.integer<std::uint64_t>("outage-seed", 1 + spec.seed);
+  const double walltime_factor = args.real("walltime-factor", 0.0);
   if (walltime_factor > 0.0) {
     const sched::GridJobService predictor(topo, roof);
     sched::assign_walltimes(jobs, walltime_factor, spec.seed,
@@ -791,7 +817,7 @@ int cmd_explore(const Args& args) {
   }
 
   sched::ExploreLimits limits;
-  limits.max_leaves = static_cast<long long>(args.num("max-leaves", 20000));
+  limits.max_leaves = args.integer<long long>("max-leaves", 20000);
 
   std::cout << "Exploring " << spec.jobs << " jobs on "
             << topo.num_clusters() << " site(s) (seed " << spec.seed
@@ -813,17 +839,16 @@ int cmd_explore(const Args& args) {
             options.outages =
                 sched::OutageTrace(outage_spec, topo.num_clusters());
           }
-          options.max_retries = static_cast<int>(args.num("retries", 3));
+          options.max_retries = args.integer<int>("retries", 3);
           options.restart_credit = args.flag("restart-credit");
-          options.checkpoint_panels =
-              static_cast<int>(args.num("panels", 8));
-          options.checkpoint_cost_s = args.num("checkpoint-cost", 0.0);
+          options.checkpoint_panels = args.integer<int>("panels", 8);
+          options.checkpoint_cost_s = args.real("checkpoint-cost", 0.0);
           options.wan_contention = args.flag("wan-contention");
           options.wan_fairness = wan_fairness;
-          options.wan_link_Bps = args.num("wan-gbps", 10.0) * 1e9 / 8.0;
+          options.wan_link_Bps = args.real("wan-gbps", 10.0) * 1e9 / 8.0;
           options.backend = backend;
-          options.domains_per_cluster = static_cast<int>(args.num(
-              "domains", msg_backend ? core::kOneDomainPerProcess : 0));
+          options.domains_per_cluster = args.integer<int>(
+              "domains", msg_backend ? core::kOneDomainPerProcess : 0);
           return std::make_unique<sched::GridJobService>(topo, roof,
                                                          options);
         };
