@@ -72,6 +72,9 @@ struct Job {
 /// serialization (sched/snapshot.hpp).
 void save_job(SnapshotWriter& w, const Job& job);
 Job load_job(SnapshotReader& r);
+/// Bytes save_job writes per job (six i32 and four f64 fields): the
+/// per-item bound restore applies to every saved job count.
+constexpr std::size_t kSavedJobBytes = 56;
 
 /// How a job left the service.
 enum class JobFate {

@@ -42,11 +42,28 @@ void save_placement(SnapshotWriter& w, const Placement& placement) {
   w.i32(placement.total_nodes);
 }
 
-Placement load_placement(SnapshotReader& r) {
+// A restored placement indexes per-cluster arrays and sizes a replay, so
+// it must be one try_place could have granted: ascending cluster ids of
+// this grid, each holding 1..its node count, summing to total_nodes.
+Placement load_placement(SnapshotReader& r,
+                         const simgrid::GridTopology& topology) {
   Placement placement;
   placement.clusters = r.i32_vec();
   placement.nodes = r.i32_vec();
   placement.total_nodes = r.i32();
+  bool ok = !placement.clusters.empty() &&
+            placement.nodes.size() == placement.clusters.size();
+  long long total = 0;
+  for (std::size_t i = 0; ok && i < placement.clusters.size(); ++i) {
+    const int c = placement.clusters[i];
+    ok = c >= 0 && c < topology.num_clusters() &&
+         (i == 0 || c > placement.clusters[i - 1]) &&
+         placement.nodes[i] >= 1 &&
+         placement.nodes[i] <= topology.cluster(c).nodes;
+    total += placement.nodes[i];
+  }
+  QRGRID_CHECK_MSG(ok && total == placement.total_nodes,
+                   "snapshot placement does not fit the grid");
   return placement;
 }
 
@@ -193,9 +210,9 @@ GridJobService::GridJobService(simgrid::GridTopology topology,
   backend_ = make_backend(options_.backend, &topology_, roofline_,
                           backend_options);
   // Observability: the policy and backend report through the same
-  // caller-owned sinks as the service itself (null = disabled).
+  // caller-owned sinks as the service itself (null = disabled). The
+  // backend is bound per run, by the Engine.
   policy_->bind_metrics(options_.metrics);
-  backend_->bind_telemetry(options_.tracer, options_.metrics);
 }
 
 GridJobService::~GridJobService() = default;
@@ -372,9 +389,10 @@ double GridJobService::shadow_time(const Job& head,
 // run() hoisted into a member of the same name, every lambda into a
 // method, so the loop can pause between steps (the stepping API),
 // serialize itself (save/load), and branch same-instant orderings
-// through the tie oracle. A null-oracle run executes the exact
-// statements the monolith ran, in the same order: the refactor is
-// byte-identical by construction, and the determinism suites pin it.
+// through the tie oracle. Every tie site builds its canonically ordered
+// tie group and resolves the candidate pick_tie() names — 0 without an
+// oracle — so a plain run executes the same statements as the
+// explorer's all-zeros leaf, and the determinism suites pin its bytes.
 struct GridJobService::Engine {
   GridJobService& svc;
   // References into the service so hoisted code reads exactly as it did
@@ -443,35 +461,18 @@ struct GridJobService::Engine {
   /// Placement preference: only wan_aware dispatch consults the WAN
   /// model; feasibility checks and shadow estimates stay naive.
   const GridWanModel* placement_wan = nullptr;
+  /// Tie-group scratch, reused across steps and never serialized: the
+  /// due completions tied on one event time, one failure's victims, and
+  /// the outage boundaries due at the current clock.
+  std::vector<std::size_t> tied;
+  std::vector<Running> victims;
+  std::vector<OutageEvent> due_outages;
 
   /// quiet = the restore path: skip workload admission (validated by the
   /// original start()) and the preamble's telemetry emissions (the
   /// kRunConfig event, the metrics series skeleton) — the restored
   /// telemetry state already contains them.
   Engine(GridJobService& service, std::vector<Job> jobs_in, bool quiet);
-
-  // Forwarding shims so hoisted code keeps its original spelling.
-  std::optional<Placement> try_place(
-      const Job& job, const std::vector<int>& nodes_free,
-      const GridWanModel* wan_pref = nullptr) const {
-    return svc.try_place(job, nodes_free, wan_pref);
-  }
-  const ExecutionProfile& replay_for(const Job& job,
-                                     const Placement& placement) {
-    return svc.replay_for(job, placement);
-  }
-  double attempt_seconds(const ExecutionProfile& replay,
-                         double credited_fraction) const {
-    return svc.attempt_seconds(replay, credited_fraction);
-  }
-  double shadow_time(const Job& head, const std::vector<Running>& r,
-                     const std::vector<int>& nodes_free,
-                     const GridWanModel* wan_model_ptr, double now_s) const {
-    return svc.shadow_time(head, r, nodes_free, wan_model_ptr, now_s);
-  }
-  double predicted_seconds(const Job& job) const {
-    return svc.predicted_seconds(job);
-  }
 
   bool active() const {
     return next_arrival < jobs.size() || !pending.empty() ||
@@ -495,6 +496,8 @@ struct GridJobService::Engine {
   void dispatch();
   void classify_waits();
   void apply_outage(const OutageEvent& ev);
+  /// Which of k same-instant candidates (canonical order) goes next.
+  std::size_t pick_tie(TieOracle::Kind kind, double t_s, std::size_t k);
   /// Removes running[index] (swap-and-pop) and resolves it as the loop's
   /// next completion-class event — a completion or a walltime kill.
   void complete_one(std::size_t index);
@@ -539,7 +542,7 @@ GridJobService::Engine::Engine(GridJobService& service,
                            job.walltime_s >= 0.0 && job.weight > 0.0,
                        "malformed job " << job.id);
       if (!feasible_procs.insert(job.procs).second) continue;
-      QRGRID_CHECK_MSG(try_place(job, total_nodes).has_value(),
+      QRGRID_CHECK_MSG(svc.try_place(job, total_nodes).has_value(),
                        "job " << job.id << " (" << job.procs
                               << " procs) cannot fit the grid at all");
     }
@@ -583,6 +586,8 @@ GridJobService::Engine::Engine(GridJobService& service,
   profiler = options_.profiler;
   blame_on = options_.wait_blame;
   has_outages = trace.enabled();
+  // Rebound per run: a refused restore may have left it unbound.
+  backend_->bind_telemetry(tracer, metrics);
   if (wan != nullptr) {
     wan->set_tracer(tracer);
     wan->set_profiler(profiler);
@@ -869,13 +874,13 @@ void GridJobService::Engine::start_job(Job job, const Placement& placement,
     }
     reserved_job = -1;
   }
-  const ExecutionProfile& replay = replay_for(job, placement);
+  const ExecutionProfile& replay = backend_->profile(job, placement);
   Progress& p = progress[job.id];
   ++p.attempts;
   // Restart credit: only the unfinished tail of the factorization
   // re-runs (at THIS placement's rate — the fraction is what carries),
   // plus checkpoint I/O for the panels this attempt will protect.
-  const double attempt_s = attempt_seconds(replay, p.credited_fraction);
+  const double attempt_s = svc.attempt_seconds(replay, p.credited_fraction);
   QRGRID_CHECK(attempt_s > 0.0);
   // Deficit accounting (fair-share): the attempt is expected to hold
   // its grant for attempt_s — charged at start so the very next head
@@ -1007,7 +1012,7 @@ void GridJobService::Engine::dispatch() {
     const Job& head = pending.front();
     std::optional<Placement> placement;
     if (placeable_precheck(head)) {
-      placement = try_place(head, placeable, placement_wan);
+      placement = svc.try_place(head, placeable, placement_wan);
     }
     if (!placement.has_value()) break;
     start_job(pending.pop_front(), *placement, /*backfilled=*/false);
@@ -1041,7 +1046,7 @@ void GridJobService::Engine::dispatch() {
   double shadow;
   {
     PhaseScope scope(profiler, ProfilePhase::kShadow);
-    shadow = shadow_time(pending.front(), running, placeable, wan, clock);
+    shadow = svc.shadow_time(pending.front(), running, placeable, wan, clock);
   }
   last_shadow = shadow;
   // No computable reservation (the head waits on an outage recovery,
@@ -1075,12 +1080,12 @@ void GridJobService::Engine::dispatch() {
     if (metrics != nullptr) metrics->add("dispatch.backfill_scans");
     std::optional<Placement> placement;
     if (placeable_precheck(it->job)) {
-      placement = try_place(it->job, placeable, placement_wan);
+      placement = svc.try_place(it->job, placeable, placement_wan);
     }
     if (placement.has_value()) {
-      const ExecutionProfile& replay = replay_for(it->job, *placement);
+      const ExecutionProfile& replay = backend_->profile(it->job, *placement);
       const Job& candidate = it->job;
-      const double remaining = attempt_seconds(
+      const double remaining = svc.attempt_seconds(
           replay, progress[candidate.id].credited_fraction);
       double estimate =
           candidate.walltime_s > 0.0 ? candidate.walltime_s : remaining;
@@ -1167,13 +1172,13 @@ void GridJobService::Engine::classify_waits() {
     } else {
       std::optional<Placement> placement;
       if (placeable_precheck(job)) {
-        placement = try_place(job, placeable, placement_wan);
+        placement = svc.try_place(job, placeable, placement_wan);
       }
       if (!placement.has_value()) {
         // Would the job fit if every cluster were up? free_nodes still
         // counts down clusters' (outage-released) nodes, so it IS the
         // fully-up view that placeable masks out.
-        category = any_down && try_place(job, free_nodes).has_value()
+        category = any_down && svc.try_place(job, free_nodes).has_value()
                        ? BlameCategory::kOutageBlocked
                        : BlameCategory::kResourceBusy;
       } else if (idx == 0) {
@@ -1191,9 +1196,9 @@ void GridJobService::Engine::classify_waits() {
         // The scan examined this placeable candidate and rejected it
         // on the admission test `clock + estimate <= shadow`;
         // re-derive which bound inside the estimate bit.
-        const ExecutionProfile& replay = replay_for(job, *placement);
+        const ExecutionProfile& replay = backend_->profile(job, *placement);
         const double remaining =
-            attempt_seconds(replay, progress[job.id].credited_fraction);
+            svc.attempt_seconds(replay, progress[job.id].credited_fraction);
         if (priced && job.walltime_s <= 0.0 &&
             clock + remaining <= last_shadow) {
           // The raw replay remainder fits the promise; only the
@@ -1251,7 +1256,7 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   // Extract every hit job first (swap-and-pop keeps the scan linear),
   // then process victims in start order — `running` itself is no longer
   // start-ordered, so determinism comes from sorting by seq.
-  std::vector<Running> victims;
+  victims.clear();
   for (std::size_t i = 0; i < running.size();) {
     Running& r = running[i];
     const bool hit =
@@ -1267,25 +1272,17 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
   }
   std::sort(victims.begin(), victims.end(),
             [](const Running& a, const Running& b) { return a.seq < b.seq; });
-  TieOracle* const oracle = svc.oracle_;
-  while (!victims.empty()) {
-    // Kill order among one failure's victims: canonically start order
-    // (seq — index 0 of the sorted vector), or whichever victim the
-    // tie oracle picks. The order is observable: restart credit,
-    // waste, and requeue positions all accrue victim by victim.
-    std::size_t pick = 0;
-    if (oracle != nullptr && victims.size() > 1) {
-      const int chosen =
-          oracle->choose(TieOracle::Kind::kOutageVictim, ev.time_s,
-                         static_cast<int>(victims.size()));
-      QRGRID_CHECK_MSG(
-          chosen >= 0 && chosen < static_cast<int>(victims.size()),
-          "tie oracle returned " << chosen << " of "
-                                 << victims.size() << " victims");
-      pick = static_cast<std::size_t>(chosen);
-    }
-    Running victim = std::move(victims[static_cast<std::size_t>(pick)]);
-    victims.erase(victims.begin() + static_cast<std::ptrdiff_t>(pick));
+  for (auto next = victims.begin(); next != victims.end(); ++next) {
+    // Kill order among one failure's victims: the picked one of the
+    // rest, still in start order, moves to the front. The order is
+    // observable: restart credit, waste, and requeue positions all
+    // accrue victim by victim.
+    const auto chosen =
+        next + static_cast<std::ptrdiff_t>(
+                   pick_tie(TieOracle::Kind::kOutageVictim, ev.time_s,
+                            static_cast<std::size_t>(victims.end() - next)));
+    std::rotate(next, chosen, chosen + 1);
+    Running& victim = *next;
     release_nodes(victim.placement);
     const double elapsed = ev.time_s - victim.start_s;
     Progress& p = progress[victim.job.id];
@@ -1375,7 +1372,7 @@ void GridJobService::Engine::apply_outage(const OutageEvent& ev) {
       }
       // SPJF sort key: only the uncredited remainder still costs time.
       const double predicted =
-          predicted_seconds(job) * (1.0 - p.credited_fraction);
+          svc.predicted_seconds(job) * (1.0 - p.credited_fraction);
       pending.push(std::move(job), predicted);
     } else {
       ++report.failed_jobs;
@@ -1450,61 +1447,44 @@ void GridJobService::Engine::step() {
   }
 }
 
+// The one place a same-instant tie is decided: the index, among k
+// candidates presented in canonical order, of the one that goes next.
+// Without an oracle (and for a lone candidate) it is 0, the canonical
+// pick; an oracle's answer is range-checked here for every tie site.
+std::size_t GridJobService::Engine::pick_tie(TieOracle::Kind kind,
+                                             double t_s, std::size_t k) {
+  if (k < 2 || svc.oracle_ == nullptr) return 0;
+  const int chosen = svc.oracle_->choose(kind, t_s, static_cast<int>(k));
+  QRGRID_CHECK_MSG(chosen >= 0 && static_cast<std::size_t>(chosen) < k,
+                   "tie oracle returned " << chosen << " of " << k
+                       << " tied candidates (kind "
+                       << static_cast<int>(kind) << ")");
+  return static_cast<std::size_t>(chosen);
+}
+
 // Resolves every completion-class event due at the current clock, one at
-// a time in (event time, seq) order — or, under an installed oracle, in
-// whatever order it picks among exact event-time ties.
+// a time: the earliest due event time, and among attempts tied on it
+// (seq-sorted) the picked one. Candidates are re-collected per pick:
+// each resolution can retire a WAN flow and move later finish times.
 void GridJobService::Engine::resolve_completions() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    // Canonical path, verbatim from the monolith: repeatedly select the
-    // (event time, seq) minimum among due events.
-    for (bool found = true; found;) {
-      found = false;
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < running.size(); ++i) {
-        if (event_of(running[i]) > clock) continue;
-        if (!found || event_of(running[i]) < event_of(running[best]) ||
-            (event_of(running[i]) == event_of(running[best]) &&
-             running[i].seq < running[best].seq)) {
-          best = i;
-          found = true;
-        }
-      }
-      if (!found) break;
-      complete_one(best);
-    }
-    return;
-  }
-  // Oracle path: resolve the earliest due event time; among attempts
-  // TIED on it (seq-sorted, so index 0 is the canonical pick) the oracle
-  // chooses which resolves first. Candidates are re-collected per pick:
-  // each resolution can retire a WAN flow and move later finish times.
   for (;;) {
     double due = kInf;
-    for (const Running& r : running) {
-      const double e = event_of(r);
-      if (e <= clock && e < due) due = e;
-    }
-    if (due == kInf) break;
-    std::vector<std::size_t> tied;
+    tied.clear();
     for (std::size_t i = 0; i < running.size(); ++i) {
-      if (event_of(running[i]) == due) tied.push_back(i);
+      const double e = event_of(running[i]);
+      if (e > clock || e > due) continue;
+      if (e < due) {
+        due = e;
+        tied.clear();
+      }
+      tied.push_back(i);
     }
+    if (tied.empty()) break;
     std::sort(tied.begin(), tied.end(), [&](std::size_t a, std::size_t b) {
       return running[a].seq < running[b].seq;
     });
-    std::size_t pick = 0;
-    if (tied.size() > 1) {
-      const int chosen =
-          oracle->choose(TieOracle::Kind::kCompletion, due,
-                         static_cast<int>(tied.size()));
-      QRGRID_CHECK_MSG(
-          chosen >= 0 && chosen < static_cast<int>(tied.size()),
-          "tie oracle returned " << chosen << " of " << tied.size()
-                                 << " completions");
-      pick = static_cast<std::size_t>(chosen);
-    }
-    complete_one(tied[pick]);
+    complete_one(
+        tied[pick_tie(TieOracle::Kind::kCompletion, due, tied.size())]);
   }
 }
 
@@ -1581,46 +1561,28 @@ void GridJobService::Engine::complete_one(std::size_t index) {
   }
 }
 
-// Applies every outage boundary due at the current clock. Canonically
-// the trace's pop order (time, recoveries before failures, cluster id);
-// an installed oracle permutes WITHIN one (time, direction) group only,
-// so the up-before-down precedence is never reordered.
+// Applies every outage boundary due at the current clock in the trace's
+// pop order (time, recoveries before failures, cluster id), the picked
+// one of each (time, direction) group first, so a pick never reorders
+// the up-before-down precedence.
 void GridJobService::Engine::drain_outages() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    while (trace.peek_s() <= clock) apply_outage(trace.pop());
-    return;
-  }
-  std::vector<OutageEvent> batch;
-  while (trace.peek_s() <= clock) batch.push_back(trace.pop());
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    std::size_t j = i;
-    while (j < batch.size() && batch[j].time_s == batch[i].time_s &&
-           batch[j].down == batch[i].down) {
-      ++j;
+  due_outages.clear();
+  while (trace.peek_s() <= clock) due_outages.push_back(trace.pop());
+  for (auto next = due_outages.begin(); next != due_outages.end();) {
+    auto end = next + 1;
+    while (end != due_outages.end() && end->time_s == next->time_s &&
+           end->down == next->down) {
+      ++end;
     }
-    std::vector<OutageEvent> group(
-        batch.begin() + static_cast<std::ptrdiff_t>(i),
-        batch.begin() + static_cast<std::ptrdiff_t>(j));
-    while (!group.empty()) {
-      const TieOracle::Kind kind = group.front().down
-                                       ? TieOracle::Kind::kOutageDown
-                                       : TieOracle::Kind::kOutageUp;
-      std::size_t pick = 0;
-      if (group.size() > 1) {
-        const int chosen = oracle->choose(kind, group.front().time_s,
-                                          static_cast<int>(group.size()));
-        QRGRID_CHECK_MSG(
-            chosen >= 0 && chosen < static_cast<int>(group.size()),
-            "tie oracle returned " << chosen << " of " << group.size()
-                                   << " outage boundaries");
-        pick = static_cast<std::size_t>(chosen);
-      }
-      apply_outage(group[pick]);
-      group.erase(group.begin() + static_cast<std::ptrdiff_t>(pick));
+    for (; next != end; ++next) {
+      const auto chosen =
+          next + static_cast<std::ptrdiff_t>(pick_tie(
+                     next->down ? TieOracle::Kind::kOutageDown
+                                : TieOracle::Kind::kOutageUp,
+                     next->time_s, static_cast<std::size_t>(end - next)));
+      std::rotate(next, chosen, chosen + 1);
+      apply_outage(*next);
     }
-    i = j;
   }
 }
 
@@ -1634,49 +1596,31 @@ void GridJobService::Engine::admit_one_arrival(Job job) {
     ev.value2 = static_cast<double>(job.user);
     tracer->record(std::move(ev));
   }
-  const double predicted = predicted_seconds(job);
+  const double predicted = svc.predicted_seconds(job);
   pending.push(std::move(job), predicted);
 }
 
-// Admits every arrival due at the current clock. Canonically in
-// (arrival_s, id) order — the pre-sorted jobs vector; an installed
-// oracle permutes jobs sharing one arrival instant (the order is
-// observable through kArrival events and queue tie-breaks).
+// Admits every arrival due at the current clock in (arrival_s, id)
+// order — the pre-sorted jobs vector — with the picked job of each
+// same-instant batch rotated to the front of what remains of it (the
+// order is observable through kArrival events and queue tie-breaks).
 void GridJobService::Engine::admit_arrivals() {
-  TieOracle* const oracle = svc.oracle_;
-  if (oracle == nullptr) {
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival_s <= clock) {
-      admit_one_arrival(jobs[next_arrival++]);
-    }
-    return;
-  }
   while (next_arrival < jobs.size() &&
          jobs[next_arrival].arrival_s <= clock) {
-    std::size_t j = next_arrival;
-    while (j < jobs.size() &&
-           jobs[j].arrival_s == jobs[next_arrival].arrival_s) {
-      ++j;
+    std::size_t end = next_arrival + 1;
+    while (end < jobs.size() &&
+           jobs[end].arrival_s == jobs[next_arrival].arrival_s) {
+      ++end;
     }
-    std::vector<Job> group(
-        jobs.begin() + static_cast<std::ptrdiff_t>(next_arrival),
-        jobs.begin() + static_cast<std::ptrdiff_t>(j));
-    next_arrival = j;
-    while (!group.empty()) {
-      std::size_t pick = 0;
-      if (group.size() > 1) {
-        const int chosen =
-            oracle->choose(TieOracle::Kind::kArrival,
-                           group.front().arrival_s,
-                           static_cast<int>(group.size()));
-        QRGRID_CHECK_MSG(
-            chosen >= 0 && chosen < static_cast<int>(group.size()),
-            "tie oracle returned " << chosen << " of " << group.size()
-                                   << " arrivals");
-        pick = static_cast<std::size_t>(chosen);
-      }
-      admit_one_arrival(std::move(group[pick]));
-      group.erase(group.begin() + static_cast<std::ptrdiff_t>(pick));
+    for (; next_arrival < end; ++next_arrival) {
+      const auto next =
+          jobs.begin() + static_cast<std::ptrdiff_t>(next_arrival);
+      const auto chosen =
+          next + static_cast<std::ptrdiff_t>(
+                     pick_tie(TieOracle::Kind::kArrival, next->arrival_s,
+                              end - next_arrival));
+      std::rotate(next, chosen, chosen + 1);
+      admit_one_arrival(*next);
     }
   }
 }
@@ -1948,6 +1892,8 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   // The caller (GridJobService::restore) has already consumed the header
   // and the job list — this Engine was constructed from it.
   next_arrival = r.u64();
+  QRGRID_CHECK_MSG(next_arrival <= jobs.size(),
+                   "snapshot arrival cursor beyond the job list");
   clock = r.f64();
   wan_clock = r.f64();
   seq = r.i32();
@@ -1955,11 +1901,14 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   last_shadow = r.f64();
   useful_node_seconds = r.f64();
   useful_flops_total = r.f64();
-  const std::uint64_t noutcomes = r.u64();
+  const std::size_t noutcomes = r.length(kSavedJobBytes);
   report.outcomes.clear();
   report.outcomes.reserve(noutcomes);
-  for (std::uint64_t i = 0; i < noutcomes; ++i) {
+  for (std::size_t i = 0; i < noutcomes; ++i) {
     report.outcomes.push_back(load_outcome(r));
+    QRGRID_CHECK_MSG(!blame_on || report.outcomes.back().blame_s.size() ==
+                                      kBlameCategoryCount,
+                     "snapshot outcome blame categories mismatch");
   }
   report.makespan_s = r.f64();
   report.backfilled_jobs = r.i64();
@@ -2005,17 +1954,17 @@ void GridJobService::Engine::load(SnapshotReader& r) {
     const double predicted = r.f64();
     pending.push(std::move(job), predicted);
   }
-  const std::uint64_t nrunning = r.u64();
+  const std::size_t nrunning = r.length(kSavedJobBytes);
   running.clear();
   running.reserve(nrunning);
-  for (std::uint64_t i = 0; i < nrunning; ++i) {
+  for (std::size_t i = 0; i < nrunning; ++i) {
     Running run;
     run.job = load_job(r);
     run.finish_s = r.f64();
     run.kill_s = r.f64();
     run.est_finish_s = r.f64();
     run.seq = r.i32();
-    run.placement = load_placement(r);
+    run.placement = load_placement(r, topology_);
     run.start_s = r.f64();
     run.start_fraction = r.f64();
     run.backfilled = r.boolean();
@@ -2039,6 +1988,8 @@ void GridJobService::Engine::load(SnapshotReader& r) {
     const int id = r.i32();
     BlameOpen b;
     b.category = r.i32();
+    QRGRID_CHECK_MSG(b.category >= 0 && b.category < kBlameCategoryCount,
+                     "snapshot blame category out of range");
     b.since_s = r.f64();
     blame_open.emplace(id, b);
   }
@@ -2064,11 +2015,11 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   backend_->bind_telemetry(nullptr, nullptr);
   for (std::uint64_t i = 0; i < nexemplars; ++i) {
     const Job job = load_job(r);
-    const Placement placement = load_placement(r);
+    const Placement placement = load_placement(r, topology_);
     backend_->profile(job, placement);
   }
   for (Running& run : running) {
-    run.replay = &svc.replay_for(run.job, run.placement);  // silent hit
+    run.replay = &backend_->profile(run.job, run.placement);  // silent hit
   }
   const bool saved_tracer = r.boolean();
   QRGRID_CHECK_MSG(saved_tracer == (tracer != nullptr),
@@ -2187,14 +2138,17 @@ void GridJobService::restore(const std::string& bytes) {
                    "snapshot was taken under a different service "
                    "configuration\n  saved:   "
                        << saved << "\n  current: " << current);
-  const std::uint64_t njobs = r.u64();
+  const std::size_t njobs = r.length(kSavedJobBytes);
   std::vector<Job> jobs;
   jobs.reserve(njobs);
-  for (std::uint64_t i = 0; i < njobs; ++i) jobs.push_back(load_job(r));
-  engine_ = std::make_unique<Engine>(*this, std::move(jobs),
-                                     /*quiet=*/true);
-  engine_->load(r);
+  for (std::size_t i = 0; i < njobs; ++i) jobs.push_back(load_job(r));
+  // Installed only once fully loaded: a refused snapshot leaves no run
+  // in flight, so the service can restore or start() again.
+  auto engine = std::make_unique<Engine>(*this, std::move(jobs),
+                                         /*quiet=*/true);
+  engine->load(r);
   QRGRID_CHECK_MSG(r.at_end(), "snapshot has trailing bytes");
+  engine_ = std::move(engine);
 }
 
 }  // namespace qrgrid::sched

@@ -83,13 +83,13 @@ class SnapshotWriter;
 /// recoveries, then outage failures, then arrivals) is fixed; WITHIN one
 /// precedence class at one virtual instant the canonical order is a pure
 /// tie-break (seq for completions and outage victims, trace order for
-/// outage boundaries, id for arrivals). An installed oracle is consulted
-/// at exactly those ties: `choose` picks which of the k tied candidates
-/// goes next, where the candidates are presented in canonical order —
-/// index 0 always reproduces the un-oracled service exactly. The
+/// outage boundaries, id for arrivals). Every tie site builds its tie
+/// group in that canonical order and resolves the candidate one shared
+/// helper picks: with a null oracle (the default) that is always index
+/// 0; an installed oracle is asked at every tie of k >= 2 candidates, so
+/// answering 0 runs exactly the statements a plain run executes. The
 /// interleaving explorer (sched/explore.hpp) drives this seam to
-/// enumerate ALL legal event orderings; a null oracle (the default) costs
-/// nothing and changes nothing.
+/// enumerate ALL legal event orderings.
 class TieOracle {
  public:
   enum class Kind : int {
@@ -101,7 +101,8 @@ class TieOracle {
   };
   virtual ~TieOracle() = default;
   /// Which of the k (>= 2) tied candidates goes next at virtual time
-  /// t_s. Must return a value in [0, k); the canonical choice is 0.
+  /// t_s. Must return a value in [0, k) — anything else is refused with
+  /// qrgrid::Error; the canonical choice is 0.
   virtual int choose(Kind kind, double t_s, int k) = 0;
 };
 
@@ -399,13 +400,6 @@ class GridJobService {
   std::optional<Placement> try_place(const Job& job,
                                      const std::vector<int>& free_nodes,
                                      const GridWanModel* wan = nullptr) const;
-
-  /// Performance profile of the job on its granted nodes (memoized by
-  /// the backend; identical across backends by contract).
-  const ExecutionProfile& replay_for(const Job& job,
-                                     const Placement& placement) {
-    return backend_->profile(job, placement);
-  }
 
   /// Seconds one attempt holds its nodes on an idle grid: the uncredited
   /// replay remainder plus checkpoint I/O for every interior panel

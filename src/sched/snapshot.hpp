@@ -69,14 +69,17 @@ class SnapshotReader {
   std::vector<long long> i64_vec();
   std::vector<double> f64_vec();
 
+  /// Reads a u64 item count and refuses it unless that many
+  /// `elem_size`-byte items fit in the remaining bytes. Every count a
+  /// loader sizes a container from goes through here, with `elem_size`
+  /// a lower bound on the bytes one item occupies.
+  std::size_t length(std::size_t elem_size);
+
   bool at_end() const { return pos_ == bytes_.size(); }
 
  private:
   void take(void* out, std::size_t n);
   std::size_t remaining() const { return bytes_.size() - pos_; }
-  /// Reads a u64 item count and refuses it unless that many
-  /// `elem_size`-byte items fit in the remaining bytes.
-  std::size_t length(std::size_t elem_size);
 
   std::string bytes_;
   std::size_t pos_ = 0;

@@ -310,12 +310,16 @@ void MetricsRegistry::load_state(SnapshotReader& r) {
     h.counts = r.i64_vec();
     h.sum = r.f64();
     h.count = r.i64();
+    QRGRID_CHECK_MSG(h.counts.size() == h.bounds.size() + 1,
+                     "snapshot histogram " << name << " has "
+                         << h.counts.size() << " buckets for "
+                         << h.bounds.size() << " bounds");
     histograms_[name] = std::move(h);
   }
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     const std::string name = r.str();
     auto& points = series_[name];
-    points.resize(static_cast<std::size_t>(r.u64()));
+    points.resize(r.length(2 * sizeof(double)));
     for (auto& [t, v] : points) {
       t = r.f64();
       v = r.f64();
@@ -348,7 +352,9 @@ void ServiceTracer::load_state(SnapshotReader& r) {
   // were consumed when first recorded; replaying them into a streaming
   // sink would double-count.
   now_s_ = r.f64();
-  events_.resize(static_cast<std::size_t>(r.u64()));
+  // An event is at least its fixed-width fields and three length
+  // prefixes: 64 bytes.
+  events_.resize(r.length(64));
   for (ServiceTraceEvent& ev : events_) {
     ev.t_s = r.f64();
     ev.kind = static_cast<TraceKind>(r.i32());

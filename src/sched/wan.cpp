@@ -1004,15 +1004,33 @@ void GridWanModel::load_state(SnapshotReader& r) {
                    "WAN snapshot cluster count mismatch");
   QRGRID_CHECK_MSG(static_cast<WanFairness>(r.u8()) == fairness_,
                    "WAN snapshot fairness mismatch");
-  flows_.assign(static_cast<std::size_t>(r.u64()), Flow{});
+  // Per-item byte bounds for the counts below: a flow's fixed-width
+  // fields and length prefixes, one pool, one activation entry.
+  constexpr std::size_t kFlowBytes = 1 + 4 + 4 + 8 + 1 + 1 + 6 * 8;
+  constexpr std::size_t kPoolBytes = 1 + 4 + 4 + 8 + 8;
+  constexpr std::size_t kActivationBytes = 8 + 4 + 4;
+  const auto nc = static_cast<std::size_t>(num_clusters_);
+  const auto in_range = [](const std::vector<int>& v, std::size_t n) {
+    return std::all_of(v.begin(), v.end(), [n](int x) {
+      return x >= 0 && static_cast<std::size_t>(x) < n;
+    });
+  };
+  flows_.assign(r.length(kFlowBytes), Flow{});
   for (Flow& f : flows_) {
     f.alive = r.boolean();
     f.id = r.i32();
-    f.pools.resize(static_cast<std::size_t>(r.u64()));
+    f.pools.resize(r.length(kPoolBytes));
     for (Pool& pool : f.pools) {
-      pool.link = static_cast<Pool::Link>(r.u8());
+      const std::uint8_t link = r.u8();
+      QRGRID_CHECK_MSG(link <= static_cast<std::uint8_t>(Pool::Link::kBackbone),
+                       "WAN snapshot pool link out of range");
+      pool.link = static_cast<Pool::Link>(link);
       pool.cluster = r.i32();
       pool.peer = r.i32();
+      QRGRID_CHECK_MSG((pool.link == Pool::Link::kBackbone ||
+                        (pool.cluster >= 0 && pool.cluster < num_clusters_)) &&
+                           pool.peer < num_clusters_,
+                       "WAN snapshot pool cluster out of range");
       pool.bytes = r.f64();
       pool.activation_s = r.f64();
     }
@@ -1021,17 +1039,30 @@ void GridWanModel::load_state(SnapshotReader& r) {
     f.undrained = r.i32();
     f.drained_at_s = r.f64();
     f.rate_Bps = r.f64_vec();
-    f.active.resize(static_cast<std::size_t>(r.u64()));
+    f.active.resize(r.length(1));
     for (char& a : f.active) a = static_cast<char>(r.u8());
     f.frac_sensitive = r.boolean();
     f.counted_clusters = r.i32_vec();
     f.counted_trunk = r.boolean();
+    // Parallel arrays index by pool; the engine state exists only under
+    // max-min.
+    const std::size_t engine_size =
+        fairness_ == WanFairness::kMaxMin ? f.pools.size() : 0;
+    QRGRID_CHECK_MSG(f.moved_bytes.size() == f.pools.size() &&
+                         f.initial_bytes.size() == f.pools.size() &&
+                         f.rate_Bps.size() == engine_size &&
+                         f.active.size() == engine_size &&
+                         in_range(f.counted_clusters, nc),
+                     "WAN snapshot flow arrays inconsistent");
   }
   free_slots_ = r.i32_vec();
   live_ = r.i32_vec();
+  QRGRID_CHECK_MSG(in_range(free_slots_, flows_.size()) &&
+                       in_range(live_, flows_.size()),
+                   "WAN snapshot flow slot out of range");
   next_flow_id_ = r.i32();
   peak_live_ = r.i32();
-  activations_.resize(static_cast<std::size_t>(r.u64()));
+  activations_.resize(r.length(kActivationBytes));
   for (Activation& a : activations_) {
     a.t_s = r.f64();
     a.flow = r.i32();
@@ -1041,6 +1072,9 @@ void GridWanModel::load_state(SnapshotReader& r) {
   down_busy_s_ = r.f64_vec();
   backbone_busy_s_ = r.f64();
   dirty_links_ = r.i32_vec();
+  QRGRID_CHECK_MSG(up_busy_s_.size() == nc && down_busy_s_.size() == nc &&
+                       in_range(dirty_links_, capacity_.size()),
+                   "WAN snapshot link arrays inconsistent");
   generation_ = r.u64();
   rebalance_events_ = r.u64();
   rebalance_recomputes_ = r.u64();
@@ -1049,6 +1083,21 @@ void GridWanModel::load_state(SnapshotReader& r) {
   slot_of_.clear();
   for (const int slot : live_) {
     slot_of_.emplace(flows_[static_cast<std::size_t>(slot)].id, slot);
+  }
+  // Ids are never reused, so every saved id lies below the next one; an
+  // activation of a live flow names one of its pools.
+  for (const Flow& f : flows_) {
+    QRGRID_CHECK_MSG(f.id < next_flow_id_, "WAN snapshot flow id unissued");
+  }
+  for (const Activation& a : activations_) {
+    const auto it = slot_of_.find(a.flow);
+    QRGRID_CHECK_MSG(
+        a.flow < next_flow_id_ &&
+            (it == slot_of_.end() ||
+             (a.pool >= 0 &&
+              static_cast<std::size_t>(a.pool) <
+                  flows_[static_cast<std::size_t>(it->second)].pools.size())),
+        "WAN snapshot activation names no pool");
   }
   // Derive the per-link user counts and load counters from the restored
   // flows; the estimate basis is rebuilt (bit-identically) on the next

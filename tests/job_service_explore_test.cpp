@@ -7,13 +7,17 @@
 // set plus report-level conservation on every leaf; and the pinned
 // event-precedence contract (kills before recoveries before failures
 // before arrivals) must survive a same-instant pileup of all four
-// classes under every policy.
+// classes under every policy. Every tie kind is decided through the one
+// path canonical runs share with the explorer, and hostile checkpoints
+// (huge counts, single-bit flips) are restored or refused, never crash.
 #include "sched/explore.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,6 +111,76 @@ std::string violation_digest(const ExploreResult& result) {
     out << "]\n";
   }
   return out.str();
+}
+
+/// One engineered instance per same-instant tie class, with the tie
+/// kinds (k >= 2) its canonical run must decide.
+struct TieInstance {
+  std::string name;
+  simgrid::GridTopology topo;
+  ServiceOptions options;
+  std::vector<Job> jobs;
+  std::vector<TieOracle::Kind> expect;
+};
+
+std::vector<TieInstance> tie_instances() {
+  using Kind = TieOracle::Kind;
+  std::vector<TieInstance> out;
+  // Two identical full-cluster jobs submitted together start together
+  // on twin clusters and finish together.
+  out.push_back({"twin completions",
+                 simgrid::GridTopology::grid5000(2, 2, 2, /*equal_power=*/true),
+                 {},
+                 {make_job(0, 0.0, 1 << 18, 64, 4),
+                  make_job(1, 0.0, 1 << 18, 64, 4)},
+                 {Kind::kArrival, Kind::kCompletion}});
+  // Two one-node jobs share the only cluster when it fails mid-run.
+  const simgrid::GridTopology one_site =
+      simgrid::GridTopology::grid5000(1, 2, 2);
+  const std::vector<Job> pair = {make_job(0, 0.0, 1 << 20, 64, 2),
+                                 make_job(1, 0.0, 1 << 20, 64, 2)};
+  const double T = 0.5 * GridJobService(one_site, model::paper_calibration())
+                             .run(pair)
+                             .outcomes[0]
+                             .service_s;
+  ServiceOptions one_outage;
+  one_outage.outages = OutageTrace(std::vector<Outage>{{0, T, 2.0 * T}});
+  out.push_back({"one outage, two victims", one_site, one_outage, pair,
+                 {Kind::kOutageVictim}});
+  // Both clusters fail together and recover together before the only
+  // job arrives.
+  ServiceOptions paired;
+  paired.outages =
+      OutageTrace(std::vector<Outage>{{0, 1.0, 2.0}, {1, 1.0, 2.0}});
+  out.push_back({"paired outages", small_grid(), paired,
+                 {make_job(0, 3.0, 1 << 18, 64, 2)},
+                 {Kind::kOutageDown, Kind::kOutageUp}});
+  return out;
+}
+
+/// Answers every tie canonically except those of one kind, where it
+/// returns an index outside [0, k): -1 or k itself.
+class OutOfRangeOracle : public TieOracle {
+ public:
+  OutOfRangeOracle(Kind kind, bool below) : kind_(kind), below_(below) {}
+  int choose(Kind kind, double, int k) override {
+    if (kind != kind_) return 0;
+    return below_ ? -1 : k;
+  }
+
+ private:
+  Kind kind_;
+  bool below_;
+};
+
+/// Offset of the u64 job count that follows a snapshot's header (magic,
+/// format version, configuration fingerprint).
+std::size_t job_count_offset(const std::string& snapshot) {
+  SnapshotReader r(snapshot);
+  const std::string magic = r.str();
+  r.u32();
+  const std::string fingerprint = r.str();
+  return 8 + magic.size() + 4 + 8 + fingerprint.size();
 }
 
 // --------------------------------------------------- snapshot/restore
@@ -210,6 +284,108 @@ TEST(SnapshotRestore, RefusesMismatchedConfigurationAndGarbage) {
       Error);
 }
 
+TEST(SnapshotRestore, RefusesAHugeJobCount) {
+  // A corrupt job count must be refused before a vector is sized from
+  // it — 2^40 jobs would otherwise ask for tens of TiB — and a refused
+  // restore leaves no run in flight: the same service still restores
+  // the intact checkpoint.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  GridJobService source(topo, roof);
+  source.start(small_workload(6, 3));
+  source.step();
+  const std::string checkpoint = source.snapshot();
+  const std::size_t at = job_count_offset(checkpoint);
+  std::uint64_t njobs = 0;
+  std::memcpy(&njobs, checkpoint.data() + at, sizeof(njobs));
+  ASSERT_EQ(njobs, 6u);
+
+  GridJobService target(topo, roof);
+  for (const std::uint64_t bad : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string hostile = checkpoint;
+    std::memcpy(hostile.data() + at, &bad, sizeof(bad));
+    EXPECT_THROW(target.restore(hostile), Error) << bad;
+  }
+  target.restore(checkpoint);
+  EXPECT_EQ(target.snapshot(), checkpoint);
+}
+
+TEST(SnapshotRestore, ARefusedRestoreLeavesTheServiceReusable) {
+  // A checkpoint cut short in its last field is refused after the
+  // backend was silenced for the replay re-warm. The same service must
+  // then run a workload with its backend reporting again: the replays
+  // the re-warm did not cover still emit their profile-compute events.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  const std::vector<Job> jobs = small_workload(6, 3);
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  GridJobService source(topo, roof, options);
+  source.start(jobs);
+  source.step();
+  const std::string checkpoint = source.snapshot();
+
+  GridJobService reused(topo, roof, options);
+  EXPECT_THROW(reused.restore(checkpoint.substr(0, checkpoint.size() - 1)),
+               Error);
+  const std::size_t before = tracer.events().size();
+  reused.run(jobs);
+  int computes = 0;
+  for (std::size_t i = before; i < tracer.events().size(); ++i) {
+    computes += tracer.events()[i].kind == TraceKind::kProfileCompute;
+  }
+  EXPECT_GT(computes, 0);
+}
+
+TEST(SnapshotRestore, SingleBitFlipsAreRestoredOrRefused) {
+  // Flip bit 0 and bit 7 of every byte of a real mid-run checkpoint
+  // (outages, max-min WAN flows, wait blame, tracer and metrics state).
+  // Each mutant must either restore or be refused with qrgrid::Error —
+  // never crash, read out of bounds, or throw anything else. Restoring
+  // only: a mutant that restores may still describe a run that cannot
+  // finish.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  ServiceTracer tracer;
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  options.wan_contention = true;
+  options.wan_fairness = WanFairness::kMaxMin;
+  options.wait_blame = true;
+  options.outages = OutageTrace(std::vector<Outage>{{1, 0.02, 0.5}});
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  GridJobService source(topo, roof, options);
+  source.start(small_workload(4, 5));
+  for (int i = 0; i < 3 && source.active(); ++i) source.step();
+  const std::string checkpoint = source.snapshot();
+
+  int restored = 0;
+  int refused = 0;
+  auto target = std::make_unique<GridJobService>(topo, roof, options);
+  for (std::size_t at = 0; at < checkpoint.size(); ++at) {
+    for (const int bit : {0, 7}) {
+      std::string mutant = checkpoint;
+      mutant[at] = static_cast<char>(mutant[at] ^ (1 << bit));
+      try {
+        target->restore(mutant);
+        ++restored;
+        // A restored run stays in flight; start the next mutant afresh.
+        target = std::make_unique<GridJobService>(topo, roof, options);
+      } catch (const Error&) {
+        ++refused;
+      }
+    }
+  }
+  EXPECT_EQ(restored + refused, static_cast<int>(2 * checkpoint.size()));
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(restored, 0);
+}
+
 TEST(SnapshotReader, RefusesLengthPrefixesLargerThanTheBytesLeft) {
   // A corrupt length must be refused before anything is sized from it:
   // 2^33 items would otherwise request tens of GiB, and 2^64 - 1 string
@@ -235,6 +411,62 @@ TEST(SnapshotReader, RefusesLengthPrefixesLargerThanTheBytesLeft) {
 }
 
 // --------------------------------------------------------- explorer
+
+TEST(ExploreService, EveryTieKindIsDecidedOnTheSharedPath) {
+  // A recording oracle (empty prescription: always the canonical pick)
+  // must be consulted at a k >= 2 tie of every kind the instance was
+  // engineered for, and its run must match the oracle-free one byte for
+  // byte: both resolve ties through the same statements.
+  std::set<TieOracle::Kind> seen;
+  for (const TieInstance& inst : tie_instances()) {
+    ServiceTracer plain_tracer;
+    ServiceOptions plain_options = inst.options;
+    plain_options.tracer = &plain_tracer;
+    const ServiceReport plain =
+        GridJobService(inst.topo, model::paper_calibration(), plain_options)
+            .run(inst.jobs);
+
+    ServiceTracer tracer;
+    ServiceOptions options = inst.options;
+    options.tracer = &tracer;
+    GridJobService service(inst.topo, model::paper_calibration(), options);
+    PrescribedOracle recorder;
+    service.set_tie_oracle(&recorder);
+    const ServiceReport report = service.run(inst.jobs);
+    EXPECT_EQ(summary_row(report), summary_row(plain)) << inst.name;
+    EXPECT_EQ(trace_json(tracer), trace_json(plain_tracer)) << inst.name;
+
+    std::set<TieOracle::Kind> kinds;
+    for (const PrescribedOracle::Decision& d : recorder.log()) {
+      EXPECT_GE(d.k, 2) << inst.name;
+      kinds.insert(d.kind);
+    }
+    for (const TieOracle::Kind kind : inst.expect) {
+      EXPECT_EQ(kinds.count(kind), 1u)
+          << inst.name << ": no tie of kind " << static_cast<int>(kind);
+    }
+    seen.insert(kinds.begin(), kinds.end());
+  }
+  EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(ExploreService, OutOfRangeTieChoicesAreRefusedAtEveryKind) {
+  // An oracle answer outside [0, k) is a harness bug; the engine refuses
+  // it with qrgrid::Error at whichever tie site asked.
+  for (const TieInstance& inst : tie_instances()) {
+    for (const TieOracle::Kind kind : inst.expect) {
+      for (const bool below : {true, false}) {
+        OutOfRangeOracle oracle(kind, below);
+        GridJobService service(inst.topo, model::paper_calibration(),
+                               inst.options);
+        service.set_tie_oracle(&oracle);
+        EXPECT_THROW(service.run(inst.jobs), Error)
+            << inst.name << ": kind " << static_cast<int>(kind)
+            << (below ? " answered -1" : " answered k");
+      }
+    }
+  }
+}
 
 TEST(ExploreService, AllTiedArrivalBatchEnumeratesTheFullFactorial) {
   // Four jobs at one instant with pairwise-distinct sizes: the ONLY tie
