@@ -55,7 +55,11 @@ Job load_job(SnapshotReader& r) {
   job.priority = r.i32();
   job.user = r.i32();
   job.weight = r.f64();
-  job.tree = static_cast<core::TreeKind>(r.i32());
+  const int tree = r.i32();
+  QRGRID_CHECK_MSG(
+      tree >= 0 && tree <= static_cast<int>(core::TreeKind::kGridHierarchical),
+      "snapshot job tree kind out of range");
+  job.tree = static_cast<core::TreeKind>(tree);
   job.walltime_s = r.f64();
   return job;
 }

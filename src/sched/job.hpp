@@ -65,6 +65,8 @@ struct Job {
   /// use THIS number while execution uses the exact replay — and the job
   /// is killed (finally, no requeue) if an attempt runs past it.
   double walltime_s = 0.0;
+
+  bool operator==(const Job&) const = default;
 };
 
 /// Snapshot encoding of one Job, field by field with raw double bits —

@@ -16,9 +16,9 @@
 //                        dispatch-scan — totals overlap by design)
 //   wan-advance          GridWanModel::advance: draining every activated
 //                        pool to the next horizon event
-//   wan-rebalance        the incremental max-min engine's component
-//                        recompute: one progressive-filling pass over
-//                        the links whose flow set changed (nested inside
+//   wan-rebalance        the incremental WAN rate engine's component
+//                        recompute: one allocator pass over the links
+//                        whose flow set changed (nested inside
 //                        whichever phase consulted the WAN model —
 //                        usually wan-advance; totals overlap by design)
 //   completion-extract   the completion/walltime-kill extraction scan

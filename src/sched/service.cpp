@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -34,7 +35,7 @@ constexpr double kGroupMinBandwidthBps = 100e6 / 8.0;
 /// Snapshot framing (see GridJobService::snapshot). The version bumps on
 /// ANY layout change — restore refuses mismatches instead of misreading.
 const char kSnapshotMagic[] = "QRGS";
-constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 void save_placement(SnapshotWriter& w, const Placement& placement) {
   w.i32_vec(placement.clusters);
@@ -468,10 +469,10 @@ struct GridJobService::Engine {
   std::vector<Running> victims;
   std::vector<OutageEvent> due_outages;
 
-  /// quiet = the restore path: skip workload admission (validated by the
-  /// original start()) and the preamble's telemetry emissions (the
-  /// kRunConfig event, the metrics series skeleton) — the restored
-  /// telemetry state already contains them.
+  /// quiet = the restore path: skip the preamble's telemetry emissions
+  /// (the kRunConfig event, the metrics series skeleton) — the restored
+  /// telemetry state already contains them. Workload admission runs on
+  /// both paths: a snapshot's job list is outside input too.
   Engine(GridJobService& service, std::vector<Job> jobs_in, bool quiet);
 
   bool active() const {
@@ -532,20 +533,19 @@ GridJobService::Engine::Engine(GridJobService& service,
     total_nodes[static_cast<std::size_t>(c)] = topology_.cluster(c).nodes;
     grid_nodes += topology_.cluster(c).nodes;
   }
-  if (!quiet) {
-    // Admission preflight. Whether a job fits the EMPTY fully-up grid
-    // depends only on its procs count (shape never constrains placement),
-    // so a million-job workload pays one real placement per distinct size.
-    std::unordered_set<int> feasible_procs;
-    for (const Job& job : jobs) {
-      QRGRID_CHECK_MSG(job.m >= job.n && job.n >= 1 && job.procs >= 1 &&
-                           job.walltime_s >= 0.0 && job.weight > 0.0,
-                       "malformed job " << job.id);
-      if (!feasible_procs.insert(job.procs).second) continue;
-      QRGRID_CHECK_MSG(svc.try_place(job, total_nodes).has_value(),
-                       "job " << job.id << " (" << job.procs
-                              << " procs) cannot fit the grid at all");
-    }
+  // Admission preflight. Whether a job fits the EMPTY fully-up grid
+  // depends only on its procs count (shape never constrains placement),
+  // so a million-job workload pays one real placement per distinct size.
+  const char* origin = quiet ? "snapshot job " : "job ";
+  std::unordered_set<int> feasible_procs;
+  for (const Job& job : jobs) {
+    QRGRID_CHECK_MSG(job.m >= job.n && job.n >= 1 && job.procs >= 1 &&
+                         job.walltime_s >= 0.0 && job.weight > 0.0,
+                     "malformed " << origin << job.id);
+    if (!feasible_procs.insert(job.procs).second) continue;
+    QRGRID_CHECK_MSG(svc.try_place(job, total_nodes).has_value(),
+                     origin << job.id << " (" << job.procs
+                            << " procs) cannot fit the grid at all");
   }
 
   // Accrued policy state (fair-share deficits) must not leak between
@@ -1697,8 +1697,8 @@ ServiceReport GridJobService::Engine::finish() {
       metrics->set("wan.backbone_busy_frac", report.wan_backbone_busy);
       metrics->set("wan.live_flows.peak",
                    static_cast<double>(wan->peak_live_flows()));
-      // Incremental max-min engine counters (zero under equal-split):
-      // full_refills << events is the contended-scaling claim.
+      // Incremental rate engine counters: full_refills << events is the
+      // contended-scaling claim.
       metrics->set("wan.rebalance.events",
                    static_cast<double>(wan->rebalance_events()));
       metrics->set("wan.rebalance.recomputes",
@@ -1890,7 +1890,19 @@ void GridJobService::Engine::save(SnapshotWriter& w) {
 
 void GridJobService::Engine::load(SnapshotReader& r) {
   // The caller (GridJobService::restore) has already consumed the header
-  // and the job list — this Engine was constructed from it.
+  // and the job list — this Engine was constructed from it, and every
+  // saved outcome, pending and running job must be one of its entries.
+  std::unordered_multimap<int, const Job*> listed;
+  for (const Job& job : jobs) listed.emplace(job.id, &job);
+  const auto check_listed = [&listed](const Job& job) {
+    const auto [lo, hi] = listed.equal_range(job.id);
+    QRGRID_CHECK_MSG(std::any_of(lo, hi,
+                                 [&job](const auto& e) {
+                                   return *e.second == job;
+                                 }),
+                     "snapshot job " << job.id
+                                     << " does not match the job list");
+  };
   next_arrival = r.u64();
   QRGRID_CHECK_MSG(next_arrival <= jobs.size(),
                    "snapshot arrival cursor beyond the job list");
@@ -1906,6 +1918,7 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   report.outcomes.reserve(noutcomes);
   for (std::size_t i = 0; i < noutcomes; ++i) {
     report.outcomes.push_back(load_outcome(r));
+    check_listed(report.outcomes.back().job);
     QRGRID_CHECK_MSG(!blame_on || report.outcomes.back().blame_s.size() ==
                                       kBlameCategoryCount,
                      "snapshot outcome blame categories mismatch");
@@ -1951,6 +1964,7 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   const std::uint64_t npending = r.u64();
   for (std::uint64_t i = 0; i < npending; ++i) {
     Job job = load_job(r);
+    check_listed(job);
     const double predicted = r.f64();
     pending.push(std::move(job), predicted);
   }
@@ -1960,6 +1974,7 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   for (std::size_t i = 0; i < nrunning; ++i) {
     Running run;
     run.job = load_job(r);
+    check_listed(run.job);
     run.finish_s = r.f64();
     run.kill_s = r.f64();
     run.est_finish_s = r.f64();
@@ -2021,16 +2036,23 @@ void GridJobService::Engine::load(SnapshotReader& r) {
   for (Running& run : running) {
     run.replay = &backend_->profile(run.job, run.placement);  // silent hit
   }
+  // The caller-owned sinks load into copies (the tracer keeps its
+  // registered sinks) and change only once nothing left can refuse.
   const bool saved_tracer = r.boolean();
   QRGRID_CHECK_MSG(saved_tracer == (tracer != nullptr),
                    "snapshot tracer presence mismatches the service "
                    "configuration");
-  if (tracer != nullptr) tracer->load_state(r);
+  std::optional<ServiceTracer> loaded_tracer;
+  if (tracer != nullptr) loaded_tracer.emplace(*tracer).load_state(r);
   const bool saved_metrics = r.boolean();
   QRGRID_CHECK_MSG(saved_metrics == (metrics != nullptr),
                    "snapshot metrics presence mismatches the service "
                    "configuration");
-  if (metrics != nullptr) metrics->load_state(r);
+  std::optional<MetricsRegistry> loaded_metrics;
+  if (metrics != nullptr) loaded_metrics.emplace().load_state(r);
+  QRGRID_CHECK_MSG(r.at_end(), "snapshot has trailing bytes");
+  if (tracer != nullptr) *tracer = std::move(*loaded_tracer);
+  if (metrics != nullptr) *metrics = std::move(*loaded_metrics);
   backend_->bind_telemetry(options_.tracer, options_.metrics);
 }
 
@@ -2147,7 +2169,6 @@ void GridJobService::restore(const std::string& bytes) {
   auto engine = std::make_unique<Engine>(*this, std::move(jobs),
                                          /*quiet=*/true);
   engine->load(r);
-  QRGRID_CHECK_MSG(r.at_end(), "snapshot has trailing bytes");
   engine_ = std::move(engine);
 }
 

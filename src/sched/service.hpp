@@ -171,7 +171,7 @@ struct ServiceOptions {
   /// — a trunk that can carry about half the sites at full tilt.
   double wan_backbone_Bps = 0.0;
   /// How concurrent flows share the WAN links (the WanAllocator
-  /// strategy): equal-split per link is the PR-3 regression baseline;
+  /// strategy): equal-split per link is the default;
   /// max-min runs progressive filling over multi-link demands, so flows
   /// bottlenecked on one link return their unused share everywhere else.
   WanFairness wan_fairness = WanFairness::kEqualSplit;
@@ -341,6 +341,8 @@ class GridJobService {
   /// Restoring into a service built with the SAME configuration (guarded
   /// by an embedded fingerprint) and stepping to completion reproduces
   /// the uninterrupted run's trace, metrics, and report byte-for-byte.
+  /// A refused snapshot throws qrgrid::Error and leaves no run in flight
+  /// and the configured tracer and metrics untouched.
   std::string snapshot();
   void restore(const std::string& bytes);
 

@@ -164,7 +164,8 @@ GridWanModel::GridWanModel(int num_clusters, double link_Bps,
     : num_clusters_(num_clusters),
       link_Bps_(link_Bps),
       backbone_Bps_(backbone_Bps),
-      trunk_constrained_(std::isfinite(backbone_Bps)),
+      trunk_in_graph_(fairness != WanFairness::kMaxMin ||
+                      std::isfinite(backbone_Bps)),
       fairness_(fairness),
       pair_Bps_(std::move(pair_Bps)),
       allocator_(make_wan_allocator(fairness)),
@@ -218,7 +219,7 @@ int GridWanModel::links_of(const Pool& pool, int out[3]) const {
     // never that bottleneck, so it drops out of the constraint graph
     // entirely (allocation-equivalent, and it keeps rebalance components
     // from chaining every flow through one shared link).
-    if (fairness_ == WanFairness::kMaxMin && trunk_constrained_) {
+    if (fairness_ == WanFairness::kMaxMin && trunk_in_graph_) {
       out[n++] = 2 * num_clusters_;
     }
   }
@@ -352,8 +353,9 @@ void GridWanModel::rebalance(double now_s) {
   PhaseScope prof(profiler_, ProfilePhase::kWanRebalance);
   // Close over flows transitively sharing links: a pool with ANY link in
   // the component drags all its links in (under max-min every uplink
-  // pool crosses the trunk, so uplink-side events close over the
-  // backbone component quickly; downlink pools stay their own islands).
+  // pool crosses a constrained trunk, so uplink-side events close over
+  // the backbone component quickly; under equal-split every pool sits on
+  // its own link, plus its pair horizon, so components stay per-link).
   bool grew = true;
   while (grew) {
     grew = false;
@@ -388,8 +390,10 @@ void GridWanModel::rebalance(double now_s) {
   }
   // Collect the component's demands in live (admission) order — the
   // identical subsequence, frac arithmetic, and accumulation order the
-  // global demand view would hand the allocator, so the restricted fill
-  // below reproduces the global fill's rates bit-for-bit on them.
+  // global demand view would hand the allocator. Either allocator reads
+  // a link's users and residual only from demands crossing it, all of
+  // which are component demands here, so the restricted pass reproduces
+  // the global pass's rates bit-for-bit on them.
   comp_refs_.clear();
   comp_demands_.clear();
   if (flow_link_scratch_.size() != capacity_.size()) {
@@ -452,7 +456,7 @@ void GridWanModel::rebalance(double now_s) {
     if (busy_links_ > 0 && comp_busy == busy_links_) ++rebalance_full_refills_;
   }
   if (oracle_check_) {
-    // Differential oracle: the historical global fill over the full
+    // Differential oracle: the global allocator pass over the full
     // activated view must agree with every cached rate — the component
     // argument says exactly, not approximately.
     demand_view(now_s, /*include_pending=*/false, refs_scratch_,
@@ -523,8 +527,8 @@ void GridWanModel::demand_view(double now_s, bool include_pending,
       d.flow = flow.id;
       d.nlinks = links_of(pool, d.links);
       for (int k = 0; k < d.nlinks; ++k) {
-        // x / x == 1.0 exactly for an unsplit pool, which is what keeps
-        // the default equal-split path bit-identical to PR-3.
+        // x / x == 1.0 exactly for an unsplit pool, so unsplit demands
+        // count as whole users.
         d.frac[k] =
             pool.bytes /
             flow_link_bytes[static_cast<std::size_t>(d.links[k])];
@@ -590,18 +594,18 @@ int GridWanModel::admit(double now_s, std::vector<Pool> pools) {
   }
   admitted.frac_sensitive = compute_frac_sensitive(admitted);
   count_load(admitted);
-  if (fairness_ == WanFairness::kMaxMin) {
-    admitted.rate_Bps.assign(admitted.pools.size(), 0.0);
-    admitted.active.assign(admitted.pools.size(), 0);
-    for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
-      if (admitted.pools[j].bytes > 0.0 &&
-          admitted.pools[j].activation_s <= now_s) {
-        activate_pool(admitted, static_cast<int>(j));
-      }
+  admitted.rate_Bps.assign(admitted.pools.size(), 0.0);
+  admitted.active.assign(admitted.pools.size(), 0);
+  for (std::size_t j = 0; j < admitted.pools.size(); ++j) {
+    if (admitted.pools[j].bytes > 0.0 &&
+        admitted.pools[j].activation_s <= now_s) {
+      activate_pool(admitted, static_cast<int>(j));
     }
-    if (admitted.undrained > 0) ++rebalance_events_;
   }
-  if (admitted.undrained > 0) bump_generation();
+  if (admitted.undrained > 0) {
+    ++rebalance_events_;
+    bump_generation();
+  }
   if (tracer_ != nullptr) {
     ServiceTraceEvent ev;
     ev.t_s = now_s;
@@ -618,120 +622,66 @@ void GridWanModel::advance(double from_s, double to_s) {
   const double dt = to_s - from_s;
   if (dt <= 0.0) return;
 
+  // Pull due activations in, repair rates if any link is dirty, then
+  // drain against the CACHED per-pool rates — bit-identical to a global
+  // allocator pass over the activated view at from_s.
+  refresh(from_s);
+  // A link is busy while at least one activated, undrained demand
+  // crosses it. With the trunk out of the graph no demand maps onto the
+  // backbone link, so the trunk-load counter stands in for it.
+  const auto nc = static_cast<std::size_t>(num_clusters_);
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (link_users_[c] > 0) up_busy_s_[c] += dt;
+    if (link_users_[nc + c] > 0) down_busy_s_[c] += dt;
+  }
+  if (link_users_[2 * nc] > 0 || (!trunk_in_graph_ && trunk_load_ > 0)) {
+    backbone_busy_s_ += dt;
+  }
+
   int pools_drained = 0;
   bool fracs_moved = false;
-  if (fairness_ == WanFairness::kMaxMin) {
-    // Incremental path: pull due activations in, repair rates if any
-    // link is dirty, then drain against the CACHED per-pool rates —
-    // bit-identical to the historical recompute-at-every-step values.
-    refresh(from_s);
-    const auto nc = static_cast<std::size_t>(num_clusters_);
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (link_users_[c] > 0) up_busy_s_[c] += dt;
-      if (link_users_[nc + c] > 0) down_busy_s_[c] += dt;
-    }
-    // With an unconstrained trunk no demand maps onto the backbone link,
-    // so fall back to the trunk-load counter for the busy statistic.
-    if (link_users_[2 * nc] > 0 ||
-        (!trunk_constrained_ && trunk_load_ > 0)) {
-      backbone_busy_s_ += dt;
-    }
-
-    for (const int slot : live_) {
-      Flow& flow = flows_[static_cast<std::size_t>(slot)];
-      if (flow.undrained == 0) continue;
-      bool flow_active = false;
-      int flow_drained = 0;
-      for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-        if (flow.active[j] == 0) continue;
-        flow_active = true;
-        Pool& pool = flow.pools[j];
-        const double moved = flow.rate_Bps[j] * dt;
-        if (covers(moved, pool.bytes, flow.initial_bytes[j])) {
-          flow.moved_bytes[j] += pool.bytes;
-          pool.bytes = 0.0;
-          if (--flow.undrained == 0) flow.drained_at_s = to_s;
-          deactivate_pool(flow, static_cast<int>(j));
-          ++rebalance_events_;
-          ++flow_drained;
-        } else {
-          flow.moved_bytes[j] += moved;
-          pool.bytes -= moved;
-        }
-      }
-      if (flow_drained > 0) {
-        uncount_load(flow);
-        count_load(flow);
-        pools_drained += flow_drained;
-      }
-      if (flow.frac_sensitive) {
-        if (flow_active) {
-          // Link-sharing pools: this flow's byte movement shifted its
-          // per-link fracs, so its remaining active links must re-fill
-          // even though no pool drained or activated.
-          fracs_moved = true;
-          for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-            if (flow.active[j] == 0) continue;
-            int links[3];
-            const int nlinks = links_of(flow.pools[j], links);
-            for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
-          }
-        }
-        if (flow_drained > 0) {
-          flow.frac_sensitive = compute_frac_sensitive(flow);
-        }
-      }
-    }
-  } else {
-    demand_view(from_s, /*include_pending=*/false, refs_scratch_,
-                demands_scratch_, rates_scratch_);
-
-    // A link is busy while at least one activated, undrained demand
-    // crosses it.
-    std::vector<char> up_busy(static_cast<std::size_t>(num_clusters_), 0);
-    std::vector<char> down_busy(static_cast<std::size_t>(num_clusters_), 0);
-    bool backbone_busy = false;
-    for (const WanDemand& d : demands_scratch_) {
-      for (int k = 0; k < d.nlinks; ++k) {
-        const int l = d.links[k];
-        if (l < num_clusters_) {
-          up_busy[static_cast<std::size_t>(l)] = 1;
-        } else if (l < 2 * num_clusters_) {
-          down_busy[static_cast<std::size_t>(l - num_clusters_)] = 1;
-        } else if (l == 2 * num_clusters_) {
-          backbone_busy = true;
-        }
-      }
-    }
-    for (int c = 0; c < num_clusters_; ++c) {
-      if (up_busy[static_cast<std::size_t>(c)]) {
-        up_busy_s_[static_cast<std::size_t>(c)] += dt;
-      }
-      if (down_busy[static_cast<std::size_t>(c)]) {
-        down_busy_s_[static_cast<std::size_t>(c)] += dt;
-      }
-    }
-    if (backbone_busy) backbone_busy_s_ += dt;
-
-    for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
-      Flow& flow = flows_[static_cast<std::size_t>(refs_scratch_[k].flow)];
-      Pool& pool = flow.pools[static_cast<std::size_t>(refs_scratch_[k].pool)];
-      const auto j = static_cast<std::size_t>(refs_scratch_[k].pool);
-      const double moved = rates_scratch_[k] * dt;
-      if (flow.frac_sensitive) fracs_moved = true;
+  for (const int slot : live_) {
+    Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    if (flow.undrained == 0) continue;
+    bool flow_active = false;
+    int flow_drained = 0;
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (flow.active[j] == 0) continue;
+      flow_active = true;
+      Pool& pool = flow.pools[j];
+      const double moved = flow.rate_Bps[j] * dt;
       if (covers(moved, pool.bytes, flow.initial_bytes[j])) {
         flow.moved_bytes[j] += pool.bytes;
         pool.bytes = 0.0;
         if (--flow.undrained == 0) flow.drained_at_s = to_s;
-        uncount_load(flow);
-        count_load(flow);
-        if (flow.frac_sensitive) {
-          flow.frac_sensitive = compute_frac_sensitive(flow);
-        }
-        ++pools_drained;
+        deactivate_pool(flow, static_cast<int>(j));
+        ++rebalance_events_;
+        ++flow_drained;
       } else {
         flow.moved_bytes[j] += moved;
         pool.bytes -= moved;
+      }
+    }
+    if (flow_drained > 0) {
+      uncount_load(flow);
+      count_load(flow);
+      pools_drained += flow_drained;
+    }
+    if (flow.frac_sensitive) {
+      if (flow_active) {
+        // Link-sharing pools: this flow's byte movement shifted its
+        // per-link fracs, so its remaining active links must re-fill
+        // even though no pool drained or activated.
+        fracs_moved = true;
+        for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+          if (flow.active[j] == 0) continue;
+          int links[3];
+          const int nlinks = links_of(flow.pools[j], links);
+          for (int k = 0; k < nlinks; ++k) mark_dirty(links[k]);
+        }
+      }
+      if (flow_drained > 0) {
+        flow.frac_sensitive = compute_frac_sensitive(flow);
       }
     }
   }
@@ -764,33 +714,18 @@ void GridWanModel::advance(double from_s, double to_s) {
 }
 
 double GridWanModel::next_event_s(double now_s) const {
+  // Lazy maintenance from a const query: activations due by now_s and
+  // any pending rebalance are absorbed here, which is also what
+  // coalesces a same-instant burst of opens/retires/drains into ONE
+  // recompute — the service consults the horizon once per step.
+  const_cast<GridWanModel*>(this)->refresh(now_s);
   double next = kInf;
-  if (fairness_ == WanFairness::kMaxMin) {
-    // Lazy maintenance from a const query: activations due by now_s and
-    // any pending rebalance are absorbed here, which is also what
-    // coalesces a same-instant burst of opens/retires/drains into ONE
-    // recompute — the service consults the horizon once per step.
-    const_cast<GridWanModel*>(this)->refresh(now_s);
-    for (const int slot : live_) {
-      const Flow& flow = flows_[static_cast<std::size_t>(slot)];
-      if (flow.undrained == 0) continue;
-      for (std::size_t j = 0; j < flow.pools.size(); ++j) {
-        if (flow.active[j] == 0) continue;
-        if (flow.rate_Bps[j] > 0.0) {
-          next = std::min(next, now_s + flow.pools[j].bytes / flow.rate_Bps[j]);
-        }
-      }
-    }
-  } else {
-    demand_view(now_s, /*include_pending=*/false, refs_scratch_,
-                demands_scratch_, rates_scratch_);
-    for (std::size_t k = 0; k < refs_scratch_.size(); ++k) {
-      const Flow& flow =
-          flows_[static_cast<std::size_t>(refs_scratch_[k].flow)];
-      const Pool& pool =
-          flow.pools[static_cast<std::size_t>(refs_scratch_[k].pool)];
-      if (rates_scratch_[k] > 0.0) {
-        next = std::min(next, now_s + pool.bytes / rates_scratch_[k]);
+  for (const int slot : live_) {
+    const Flow& flow = flows_[static_cast<std::size_t>(slot)];
+    if (flow.undrained == 0) continue;
+    for (std::size_t j = 0; j < flow.pools.size(); ++j) {
+      if (flow.active[j] != 0 && flow.rate_Bps[j] > 0.0) {
+        next = std::min(next, now_s + flow.pools[j].bytes / flow.rate_Bps[j]);
       }
     }
   }
@@ -906,13 +841,13 @@ void GridWanModel::retire(int flow, std::vector<long long>& egress_bytes,
     }
   }
   uncount_load(f);
-  if (fairness_ == WanFairness::kMaxMin) {
-    if (f.undrained > 0) ++rebalance_events_;
-    for (std::size_t j = 0; j < f.active.size(); ++j) {
-      if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
-    }
+  for (std::size_t j = 0; j < f.active.size(); ++j) {
+    if (f.active[j] != 0) deactivate_pool(f, static_cast<int>(j));
   }
-  if (f.undrained > 0) bump_generation();
+  if (f.undrained > 0) {
+    ++rebalance_events_;
+    bump_generation();
+  }
   f.alive = false;
   f.pools.clear();
   f.moved_bytes.clear();
@@ -1044,14 +979,11 @@ void GridWanModel::load_state(SnapshotReader& r) {
     f.frac_sensitive = r.boolean();
     f.counted_clusters = r.i32_vec();
     f.counted_trunk = r.boolean();
-    // Parallel arrays index by pool; the engine state exists only under
-    // max-min.
-    const std::size_t engine_size =
-        fairness_ == WanFairness::kMaxMin ? f.pools.size() : 0;
+    // Parallel arrays index by pool.
     QRGRID_CHECK_MSG(f.moved_bytes.size() == f.pools.size() &&
                          f.initial_bytes.size() == f.pools.size() &&
-                         f.rate_Bps.size() == engine_size &&
-                         f.active.size() == engine_size &&
+                         f.rate_Bps.size() == f.pools.size() &&
+                         f.active.size() == f.pools.size() &&
                          in_range(f.counted_clusters, nc),
                      "WAN snapshot flow arrays inconsistent");
   }

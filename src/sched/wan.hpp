@@ -21,13 +21,14 @@
 // (local factorizations first, R-factor reduction last), and the pools
 // reproduce that: a freshly started job does not contend yet.
 //
-// HOW the activated pools share the links is a WanAllocator strategy:
+// One rate engine, two allocators. HOW the activated pools share the
+// links is a WanAllocator strategy:
 //
-//   equal-split (WanFairness::kEqualSplit, the regression baseline) —
-//     every pool is a demand on exactly one link; a link with capacity C
-//     and k activated pools gives each C/k. The trunk is modeled as one
-//     extra pool per flow carrying its aggregate egress once. This is
-//     the PR-3 kernel, byte-identical.
+//   equal-split (WanFairness::kEqualSplit, the default) — every pool is
+//     a demand on its own link (plus its pair(s,d) horizon when
+//     configured); a link with capacity C and k activated flows gives
+//     each C/k. The trunk is modeled as one extra pool per flow carrying
+//     its aggregate egress once.
 //
 //   max-min (WanFairness::kMaxMin) — progressive filling over multi-link
 //     demands: an uplink pool crosses {uplink(c), backbone} (plus its
@@ -50,28 +51,29 @@
 // reproduces the cached replay times byte-for-byte; under contention
 // finish times stretch, monotonically in the load.
 //
-// INCREMENTAL MAX-MIN MAINTENANCE. Under max-min the model no longer
-// runs a progressive-filling pass over every live flow at every
-// consultation. Instead it keeps the allocation cached per pool and
-// repairs it lazily: admissions, retirements, drains, and activations
-// mark the links whose flow set changed dirty; the next consultation
-// (advance / next_event_s) closes the dirty set over flows that share
-// links with it — the *bottleneck component* — and re-runs the SAME
-// progressive filling restricted to that component's demands. Because a
-// component link's users and residuals receive exactly the terms they
-// receive in the global fill (all demands crossing a component link are
-// component demands, in the same live-order), the component-local fill
-// is bit-identical to the global one, so fixed-seed max-min runs
-// reproduce the historical full-recompute traces byte-for-byte. Rates
-// read only fracs and capacities — never pool bytes — so cached rates
-// stay exact across byte drains; flows whose pools can share a link
-// (frac_sensitive) are the one exception and re-dirty their links as
-// their bytes move. Deferring the repair to the next consultation also
-// coalesces same-instant open/retire/drain bursts into ONE rebalance.
+// INCREMENTAL RATE MAINTENANCE. The model does not run its allocator
+// over every live flow at every consultation. Under either allocator it
+// keeps the rates cached per pool and repairs them lazily: admissions,
+// retirements, drains, and activations mark the links whose flow set
+// changed dirty; the next consultation (advance / next_event_s) closes
+// the dirty set over flows that share links with it — the *bottleneck
+// component* — and re-runs the SAME allocator restricted to that
+// component's demands. Because a component link's users and residuals
+// receive exactly the terms they receive in the global pass (all
+// demands crossing a component link are component demands, in the same
+// live-order), the component-local pass is bit-identical to the global
+// one, so fixed-seed runs reproduce the full-recompute traces
+// byte-for-byte. Rates read only fracs and capacities — never pool
+// bytes — so cached rates stay exact across byte drains; flows whose
+// pools can share a link (frac_sensitive) are the one exception and
+// re-dirty their links as their bytes move. Deferring the repair to the
+// next consultation also coalesces same-instant open/retire/drain
+// bursts into ONE rebalance.
 // The wan.rebalance.{events,recomputes,links_touched,full_refills}
 // counters and the wan-rebalance profiler phase expose the machinery;
-// set_rate_oracle_check() keeps the global fill as a differential
-// oracle the cached rates are checked against after every recompute.
+// set_rate_oracle_check() keeps the global allocator pass over the full
+// demand view as a differential oracle the cached rates are checked
+// against after every recompute.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +91,7 @@ class PhaseProfiler;
 
 /// Which WanAllocator a GridWanModel (or ServiceOptions) asks for.
 enum class WanFairness {
-  kEqualSplit,  ///< per-link C/k fair share (PR-3 baseline)
+  kEqualSplit,  ///< per-link C/k fair share (the default)
   kMaxMin,      ///< progressive-filling max-min over multi-link demands
 };
 /// Parses "equal" | "maxmin"; throws qrgrid::Error otherwise.
@@ -103,8 +105,8 @@ std::string wan_fairness_name(WanFairness fairness);
 /// link (per-destination pair splits; multi-cluster uplinks crossing
 /// the trunk) contributes its fracs — which sum to 1 — instead of one
 /// full user per pool, so splitting never multiplies a flow's share.
-/// Unsplit pools carry frac exactly 1.0, which keeps the equal-split
-/// arithmetic bit-identical to the PR-3 kernel.
+/// Unsplit pools carry frac exactly 1.0, so each counts as one whole
+/// user of its links.
 struct WanDemand {
   double bytes = 0.0;
   int flow = -1;  ///< owning flow id (what the fracs group by)
@@ -127,9 +129,7 @@ class WanAllocator {
 };
 
 /// Per-link C/k over FLOWS: a demand's rate is the minimum over its
-/// links of (capacity / flow-users) x its frac of the flow there. With
-/// the single-link, frac-1 demands the equal-split model builds by
-/// default, this is exactly the PR-3 drain kernel.
+/// links of (capacity / flow-users) x its frac of the flow there.
 class EqualSplitAllocator final : public WanAllocator {
  public:
   std::string name() const override { return "equal"; }
@@ -239,16 +239,16 @@ class GridWanModel {
   /// flows are admitted, retired, and as the share structure changes.
   /// Null (the default) records nothing and costs nothing.
   void set_tracer(ServiceTracer* tracer) { tracer_ = tracer; }
-  /// When set, component recomputes of the incremental max-min engine
-  /// are timed under ProfilePhase::kWanRebalance. Null costs nothing.
+  /// When set, component recomputes of the incremental rate engine are
+  /// timed under ProfilePhase::kWanRebalance. Null costs nothing.
   void set_profiler(PhaseProfiler* profiler) { profiler_ = profiler; }
 
-  /// Incremental max-min engine telemetry (equal-split runs report 0):
+  /// Incremental rate engine telemetry (both allocators):
   /// structural events absorbed (admissions/retirements with undrained
   /// demand, pool activations, pool drains), component recomputes those
   /// events coalesced into, links touched summed over recomputes, and
   /// recomputes whose component spanned every busy link (the global-
-  /// fill fallback). full_refills << events is the scaling claim.
+  /// pass fallback). full_refills << events is the scaling claim.
   std::uint64_t rebalance_events() const { return rebalance_events_; }
   std::uint64_t rebalance_recomputes() const { return rebalance_recomputes_; }
   std::uint64_t rebalance_links_touched() const {
@@ -263,7 +263,7 @@ class GridWanModel {
   std::uint64_t rebalance_generation() const { return generation_; }
 
   /// Differential-oracle mode (tests): after every component recompute,
-  /// re-run the GLOBAL progressive fill over the full demand view and
+  /// re-run the allocator GLOBALLY over the full demand view and
   /// accumulate the worst |cached - oracle| rate divergence. The
   /// component argument says the divergence is exactly 0.0; the suite
   /// gates at 1e-12.
@@ -312,10 +312,9 @@ class GridWanModel {
     std::vector<double> initial_bytes;
     int undrained = 0;
     double drained_at_s = 0.0;
-    /// Incremental max-min engine state, parallel to pools (empty under
-    /// equal-split): the cached drain rate from the last component
-    /// recompute, and whether the pool is in the activated-undrained set
-    /// those rates cover.
+    /// Incremental rate engine state, parallel to pools: the cached
+    /// drain rate from the last component recompute, and whether the
+    /// pool is in the activated-undrained set those rates cover.
     std::vector<double> rate_Bps;
     std::vector<char> active;
     /// True when two undrained pools of this flow can share a link, so
@@ -352,27 +351,28 @@ class GridWanModel {
   int links_of(const Pool& pool, int out[3]) const;
   /// Builds the activated-undrained demand view at `now_s` (or, when
   /// `include_pending`, every undrained pool regardless of activation —
-  /// the pessimistic planning view) and the allocator's rates for it.
+  /// the pessimistic planning view) and the allocator's rates for it:
+  /// the planning estimates' basis and the rate oracle.
   void demand_view(double now_s, bool include_pending,
                    std::vector<PoolRef>& refs,
                    std::vector<WanDemand>& demands,
                    std::vector<double>& rates) const;
 
-  /// --- incremental max-min engine (no-ops under equal-split) ---
+  /// --- incremental rate engine ---
   /// Pops every pending activation at or before `now_s` into the active
   /// set, then repairs the cached rates if any link is dirty. Invoked
   /// from const queries via const_cast: lazy maintenance, logically
   /// const.
   void refresh(double now_s);
   /// Closes the dirty links over flows sharing links with them (the
-  /// bottleneck component) and re-runs progressive filling restricted
-  /// to that component's demands — bit-identical to the global fill.
+  /// bottleneck component) and re-runs the allocator restricted
+  /// to that component's demands — bit-identical to the global pass.
   void rebalance(double now_s);
   void activate_pool(Flow& flow, int pool);
   void deactivate_pool(Flow& flow, int pool);
   void mark_dirty(int link);
   bool compute_frac_sensitive(const Flow& flow) const;
-  /// Incremental load_score/backbone_load maintenance (both modes).
+  /// Incremental load_score/backbone_load maintenance.
   void count_load(Flow& flow);
   void uncount_load(Flow& flow);
   void bump_generation() { ++generation_; }
@@ -380,11 +380,12 @@ class GridWanModel {
   int num_clusters_;
   double link_Bps_;
   double backbone_Bps_;
-  /// False when backbone_Bps_ is infinite: an unconstrained core can
-  /// never bind, so the trunk drops out of the constraint graph and
-  /// max-min components stay per-site islands instead of chaining
-  /// through the shared link (same idiom as a 0-capacity pair entry).
-  bool trunk_constrained_ = true;
+  /// False under max-min when backbone_Bps_ is infinite: an
+  /// unconstrained core can never bind, so the trunk drops out of the
+  /// constraint graph and components stay per-site islands instead of
+  /// chaining through the shared link (same idiom as a 0-capacity pair
+  /// entry). Equal-split always keeps it: backbone pools sit on it.
+  bool trunk_in_graph_ = true;
   WanFairness fairness_;
   std::vector<double> pair_Bps_;   ///< row-major src x dst; empty = off
   std::vector<double> capacity_;   ///< per link id
@@ -422,7 +423,7 @@ class GridWanModel {
   mutable std::vector<double> flow_link_scratch_;
   mutable std::vector<int> touched_scratch_;
 
-  /// --- incremental max-min engine state (idle under equal-split) ---
+  /// --- incremental rate engine state ---
   PhaseProfiler* profiler_ = nullptr;
   /// Activated-undrained demands per link; busy_links_ counts links with
   /// a nonzero entry (what the full-refill classification compares
@@ -458,8 +459,7 @@ class GridWanModel {
   mutable std::vector<WanDemand> est_demands_;
   mutable std::vector<double> est_rates_;
 
-  /// Incremental load_score/backbone_load counters (both modes),
-  /// mirrored by each flow's counted_clusters/counted_trunk membership.
+  /// Incremental load_score/backbone_load counters, mirrored by each flow's counted_clusters/counted_trunk membership.
   std::vector<int> cluster_load_;
   int trunk_load_ = 0;
 };

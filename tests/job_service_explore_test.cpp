@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -328,16 +329,96 @@ TEST(SnapshotRestore, ARefusedRestoreLeavesTheServiceReusable) {
   source.step();
   const std::string checkpoint = source.snapshot();
 
+  // The refusal comes from the metrics, the last thing loaded: neither
+  // caller-owned sink may have changed by then.
+  const std::string trace_before = trace_json(tracer);
+  const std::string metrics_before = metrics_json(metrics);
   GridJobService reused(topo, roof, options);
   EXPECT_THROW(reused.restore(checkpoint.substr(0, checkpoint.size() - 1)),
                Error);
-  const std::size_t before = tracer.events().size();
+  EXPECT_EQ(trace_json(tracer), trace_before);
+  EXPECT_EQ(metrics_json(metrics), metrics_before);
+  tracer.clear();
   reused.run(jobs);
   int computes = 0;
-  for (std::size_t i = before; i < tracer.events().size(); ++i) {
-    computes += tracer.events()[i].kind == TraceKind::kProfileCompute;
+  for (const ServiceTraceEvent& ev : tracer.events()) {
+    computes += ev.kind == TraceKind::kProfileCompute;
   }
   EXPECT_GT(computes, 0);
+}
+
+/// save_job's record of one job.
+std::string job_record(const Job& job) {
+  SnapshotWriter w;
+  save_job(w, job);
+  return w.bytes();
+}
+
+/// Offset of one field inside a job record: the first byte that differs
+/// once `mutate` changes that field alone.
+template <typename Mutate>
+std::size_t field_offset(const Job& job, Mutate mutate) {
+  Job changed = job;
+  mutate(changed);
+  const std::string a = job_record(job);
+  const std::string b = job_record(changed);
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+}
+
+TEST(SnapshotRestore, RefusesSavedJobsThatDisagreeWithTheJobList) {
+  // A checkpoint holds every job twice or more: once in the job list,
+  // again as an outcome, a pending or a running entry (and in the
+  // replay-cache exemplars, after all of those). Corrupting a job-list
+  // entry's procs, a saved copy's procs or id, or any tree kind must be
+  // refused at restore: such mutants used to restore into runs that
+  // spun forever or broke trace invariants. Records are found by
+  // searching for their save_job bytes, fields by re-encoding.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  const std::vector<Job> jobs = small_workload(12, 23);
+  ServiceOptions options;
+  options.policy = Policy::kEasyBackfill;
+  options.wan_contention = true;
+  GridJobService source(topo, roof, options);
+  source.start(jobs);
+  for (int i = 0; i < 6 && source.active(); ++i) source.step();
+  const std::string checkpoint = source.snapshot();
+
+  const auto refused = [&](std::size_t at, int bit) {
+    std::string mutant = checkpoint;
+    mutant[at] = static_cast<char>(mutant[at] ^ (1 << bit));
+    GridJobService target(topo, roof, options);
+    try {
+      target.restore(mutant);
+    } catch (const Error&) {
+      return true;
+    }
+    return false;
+  };
+  const std::size_t procs_at =
+      field_offset(jobs[0], [](Job& j) { j.procs ^= 1; });
+  const std::size_t id_at = field_offset(jobs[0], [](Job& j) { j.id ^= 1; });
+  const std::size_t tree_at = field_offset(jobs[0], [](Job& j) {
+    j.tree = static_cast<core::TreeKind>(static_cast<int>(j.tree) ^ 1);
+  });
+  int saved_copies = 0;
+  for (const Job& job : jobs) {
+    const std::string record = job_record(job);
+    const std::size_t listed = checkpoint.find(record);
+    ASSERT_NE(listed, std::string::npos) << "job " << job.id;
+    EXPECT_TRUE(refused(listed + procs_at, 7)) << "job " << job.id;
+    EXPECT_TRUE(refused(listed + tree_at, 7)) << "job " << job.id;
+    const std::size_t copy = checkpoint.find(record, listed + record.size());
+    if (copy == std::string::npos) continue;  // not yet arrived
+    ++saved_copies;
+    EXPECT_TRUE(refused(copy + procs_at, 7)) << "job " << job.id;
+    EXPECT_TRUE(refused(copy + id_at, 7)) << "job " << job.id;
+  }
+  EXPECT_GT(saved_copies, 0);
+  GridJobService intact(topo, roof, options);
+  intact.restore(checkpoint);
+  EXPECT_EQ(intact.snapshot(), checkpoint);
 }
 
 TEST(SnapshotRestore, SingleBitFlipsAreRestoredOrRefused) {

@@ -13,6 +13,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sched/service.hpp"
@@ -237,23 +238,30 @@ std::vector<int> churn_models(std::vector<GridWanModel*> models,
   return live;
 }
 
+constexpr WanFairness kBothAllocators[] = {WanFairness::kEqualSplit,
+                                           WanFairness::kMaxMin};
+
 TEST(WanModelIncremental, RandomChurnMatchesGlobalOracle) {
   // The differential acceptance gate: with the oracle armed, EVERY
-  // component rebalance is shadowed by a global fill over the time-based
-  // demand view and compared rate-by-rate. The incremental path is
-  // bit-identical by construction (same allocator, same demand order,
-  // same arithmetic), so the recorded divergence must be exactly zero —
-  // the 1e-12 bound is the acceptance threshold, the zero is what
-  // construction promises.
-  for (const unsigned seed : {11u, 23u, 57u}) {
-    GridWanModel wan(4, 100.0, 250.0, WanFairness::kMaxMin);
-    wan.set_rate_oracle_check(true);
-    std::mt19937 rng(seed);
-    churn_models({&wan}, rng, 400, 4, /*pair_peers=*/false,
-                 /*query_first_each_op=*/false);
-    EXPECT_GT(wan.rebalance_recomputes(), 0u) << "seed " << seed;
-    EXPECT_LE(wan.max_oracle_rate_error(), 1e-12) << "seed " << seed;
-    EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << "seed " << seed;
+  // component rebalance is shadowed by a global allocator pass over the
+  // time-based demand view and compared rate-by-rate. The incremental
+  // path is bit-identical by construction (same allocator, same demand
+  // order, same arithmetic), so the recorded divergence must be exactly
+  // zero under either allocator — the 1e-12 bound is the acceptance
+  // threshold, the zero is what construction promises.
+  for (const WanFairness fairness : kBothAllocators) {
+    for (const unsigned seed : {11u, 23u, 57u}) {
+      GridWanModel wan(4, 100.0, 250.0, fairness);
+      wan.set_rate_oracle_check(true);
+      std::mt19937 rng(seed);
+      churn_models({&wan}, rng, 400, 4, /*pair_peers=*/false,
+                   /*query_first_each_op=*/false);
+      const std::string label =
+          wan_fairness_name(fairness) + " seed " + std::to_string(seed);
+      EXPECT_GT(wan.rebalance_recomputes(), 0u) << label;
+      EXPECT_LE(wan.max_oracle_rate_error(), 1e-12) << label;
+      EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << label;
+    }
   }
 }
 
@@ -265,15 +273,19 @@ TEST(WanModelIncremental, RandomChurnMatchesOracleWithPairHorizons) {
   pair_Bps[0 * 3 + 1] = 40.0;  // tight horizon
   pair_Bps[1 * 3 + 2] = 60.0;
   pair_Bps[2 * 3 + 0] = 25.0;  // tighter than any uplink share
-  for (const unsigned seed : {5u, 71u}) {
-    GridWanModel wan(3, 100.0, 250.0, WanFairness::kMaxMin, pair_Bps);
-    ASSERT_TRUE(wan.pair_aware());
-    wan.set_rate_oracle_check(true);
-    std::mt19937 rng(seed);
-    churn_models({&wan}, rng, 400, 3, /*pair_peers=*/true,
-                 /*query_first_each_op=*/false);
-    EXPECT_GT(wan.rebalance_recomputes(), 0u) << "seed " << seed;
-    EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << "seed " << seed;
+  for (const WanFairness fairness : kBothAllocators) {
+    for (const unsigned seed : {5u, 71u}) {
+      GridWanModel wan(3, 100.0, 250.0, fairness, pair_Bps);
+      ASSERT_TRUE(wan.pair_aware());
+      wan.set_rate_oracle_check(true);
+      std::mt19937 rng(seed);
+      churn_models({&wan}, rng, 400, 3, /*pair_peers=*/true,
+                   /*query_first_each_op=*/false);
+      const std::string label =
+          wan_fairness_name(fairness) + " seed " + std::to_string(seed);
+      EXPECT_GT(wan.rebalance_recomputes(), 0u) << label;
+      EXPECT_EQ(wan.max_oracle_rate_error(), 0.0) << label;
+    }
   }
 }
 
@@ -346,8 +358,7 @@ TEST(WanModelIncremental, EstimateBasisCacheIsTransparent) {
   // the very end (cold, basis computed fresh). The answers must match
   // bitwise in both fairness modes — the cache is an optimization, never
   // a semantic.
-  for (const WanFairness fairness :
-       {WanFairness::kEqualSplit, WanFairness::kMaxMin}) {
+  for (const WanFairness fairness : kBothAllocators) {
     GridWanModel hot(4, 100.0, 250.0, fairness);
     GridWanModel cold(4, 100.0, 250.0, fairness);
     std::mt19937 rng(2026);
@@ -390,19 +401,24 @@ TEST(WanModelIncremental, SameInstantEventsCoalesceIntoOneRebalance) {
   EXPECT_TRUE(wan.drained(b));
 }
 
-TEST(WanModelIncremental, EqualSplitReportsNoRebalanceCounters) {
-  // The counters are the incremental engine's telemetry; the equal-split
-  // baseline keeps its legacy time-based path and must stay silent.
+TEST(WanModelIncremental, EqualSplitReportsCoherentRebalanceCounters) {
+  // Equal-split runs on the same incremental engine as max-min, so its
+  // counters describe real work: every recompute absorbed at least one
+  // structural event, and each structural change moved the generation.
   GridWanModel wan(2, 100.0, 200.0, WanFairness::kEqualSplit);
   const int flow = wan.admit(0.0, {make_pool(Link::kUplink, 0, 500.0, 0.0)});
-  wan.advance(0.0, wan.next_event_s(0.0));
-  EXPECT_TRUE(wan.drained(flow));
-  EXPECT_EQ(wan.rebalance_events(), 0u);
-  EXPECT_EQ(wan.rebalance_recomputes(), 0u);
-  EXPECT_EQ(wan.rebalance_links_touched(), 0u);
-  EXPECT_EQ(wan.rebalance_full_refills(), 0u);
-  // The estimate-basis generation still advances (both modes share the
-  // cached planning basis), so estimates stay fresh across drains.
+  wan.admit(0.0, {make_pool(Link::kUplink, 1, 300.0, 1.0)});
+  double now = 0.0;
+  while (!wan.drained(flow)) {
+    const double next = wan.next_event_s(now);
+    wan.advance(now, next);
+    now = next;
+  }
+  EXPECT_DOUBLE_EQ(wan.drained_at_s(flow), 5.0);
+  EXPECT_GT(wan.rebalance_recomputes(), 0u);
+  EXPECT_GE(wan.rebalance_events(), wan.rebalance_recomputes());
+  EXPECT_GE(wan.rebalance_links_touched(), wan.rebalance_recomputes());
+  EXPECT_LE(wan.rebalance_full_refills(), wan.rebalance_recomputes());
   EXPECT_GT(wan.rebalance_generation(), 0u);
 }
 
