@@ -111,16 +111,37 @@ void des_tsqr(simgrid::DesEngine& engine,
               TreeKind tree_kind, bool form_q) {
   const int d = static_cast<int>(domain_groups.size());
   QRGRID_CHECK(d >= 1);
+  // Refuse malformed groups before replaying any: a rank listed twice in
+  // one group would make self-messages, which the leaf memo's node
+  // pattern cannot tell from a same-node pair.
+  std::vector<int> group_of(static_cast<std::size_t>(engine.nprocs()), -1);
+  for (int g = 0; g < d; ++g) {
+    const auto& group = domain_groups[static_cast<std::size_t>(g)];
+    QRGRID_CHECK_MSG(!group.empty(), "domain " << g << " has no ranks");
+    for (int r : group) {
+      QRGRID_CHECK_MSG(r >= 0 && r < engine.nprocs(),
+                       "domain " << g << ": rank " << r << " out of range");
+      auto& seen = group_of[static_cast<std::size_t>(r)];
+      QRGRID_CHECK_MSG(seen != g, "domain " << g << " lists rank " << r
+                                            << " twice");
+      seen = g;
+    }
+  }
   const double m_d = m / static_cast<double>(d);
   const int ncols = static_cast<int>(n);
 
   // Leaves: one ScaLAPACK (or LAPACK, for singleton groups) call per
-  // domain — the QCG-TSQR twist of Section III.
+  // domain — the QCG-TSQR twist of Section III. The domains of one site
+  // are mostly copies of one another, so each distinct group shape is
+  // replayed once and its end state stamped onto the others.
+  simgrid::DesEngine::GroupMemo leaves;
   for (const auto& group : domain_groups) {
     if (group.size() == 1) {
       engine.compute(group[0], flops::geqrf(m_d, n), ncols);
     } else {
-      des_pdgeqrf(engine, group, m_d, n, 64, false);
+      engine.replay_group(leaves, group, [&] {
+        des_pdgeqrf(engine, group, m_d, n, 64, false);
+      });
     }
   }
 

@@ -32,6 +32,14 @@ void des_pdgeqrf(simgrid::DesEngine& engine, std::span<const int> ranks,
 /// QCG-TSQR: each domain is factored by a ScaLAPACK call over its process
 /// group (a single-process group degenerates to a LAPACK geqrf, the
 /// original TSQR), then the R factors are reduced over `tree_kind`.
+/// The leaf loop replays each distinct group shape once per call and
+/// stamps that end state onto every other group of the shape
+/// (DesEngine::replay_group): same size, one cluster, same pattern of
+/// shared nodes, and the same per-position speed scale, start clock and
+/// compute seconds, bit for bit. A group spanning clusters is replayed
+/// in full. Every engine observable stays bit-identical to replaying
+/// each group. Refuses an empty group, an out-of-range rank and a rank
+/// listed twice in one group with qrgrid::Error before replaying any.
 void des_tsqr(simgrid::DesEngine& engine,
               const std::vector<std::vector<int>>& domain_groups,
               const std::vector<int>& domain_cluster, double m, double n,

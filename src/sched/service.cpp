@@ -2043,7 +2043,18 @@ void GridJobService::Engine::load(SnapshotReader& r) {
                    "snapshot tracer presence mismatches the service "
                    "configuration");
   std::optional<ServiceTracer> loaded_tracer;
-  if (tracer != nullptr) loaded_tracer.emplace(*tracer).load_state(r);
+  if (tracer != nullptr) {
+    loaded_tracer.emplace(*tracer).load_state(r);
+    // The restored stream is a run's prefix: a fresh validator consumes
+    // it (finish() would demand the run's end), and any violation refuses
+    // the snapshot before the caller's tracer changes.
+    TraceValidator validator;
+    for (const ServiceTraceEvent& ev : loaded_tracer->events()) {
+      validator.consume(ev);
+    }
+    QRGRID_CHECK_MSG(validator.ok(), "snapshot trace fails validation: "
+                                         << validator.violations().front());
+  }
   const bool saved_metrics = r.boolean();
   QRGRID_CHECK_MSG(saved_metrics == (metrics != nullptr),
                    "snapshot metrics presence mismatches the service "

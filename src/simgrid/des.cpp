@@ -1,6 +1,7 @@
 #include "simgrid/des.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 
@@ -37,6 +38,18 @@ void DesEngine::check_rank(int rank) const {
   QRGRID_CHECK_MSG(rank >= 0 && rank < nprocs(), "rank=" << rank);
 }
 
+void DesEngine::check_ranks(std::span<const int> ranks) const {
+  for (int r : ranks) check_rank(r);
+}
+
+double DesEngine::rate_gflops(int ncols) {
+  for (const auto& [cols, rate] : rates_) {
+    if (cols == ncols) return rate;
+  }
+  rates_.emplace_back(ncols, roofline_.rate_gflops(ncols));
+  return rates_.back().second;
+}
+
 msg::LinkClass DesEngine::link_class(int a, int b) const {
   if (a == b) return msg::LinkClass::kSelf;
   const auto ia = static_cast<std::size_t>(a);
@@ -64,8 +77,12 @@ LinkParams DesEngine::link(int a, int b, msg::LinkClass cls) const {
 
 void DesEngine::compute(int rank, double flops, int ncols) {
   check_rank(rank);
+  compute_unchecked(rank, flops, ncols);
+}
+
+void DesEngine::compute_unchecked(int rank, double flops, int ncols) {
   const double seconds =
-      flops / (roofline_.rate_gflops(ncols) *
+      flops / (rate_gflops(ncols) *
                speed_scale_[static_cast<std::size_t>(rank)] * 1e9);
   auto& clock = clock_[static_cast<std::size_t>(rank)];
   if (trace_ != nullptr) {
@@ -74,6 +91,7 @@ void DesEngine::compute(int rank, double flops, int ncols) {
   clock += seconds;
   compute_seconds_[static_cast<std::size_t>(rank)] += seconds;
   total_flops_ += flops;
+  if (flop_log_ != nullptr) flop_log_->push_back(flops);
 }
 
 double DesEngine::compute_utilization() const {
@@ -121,6 +139,10 @@ double DesEngine::transfer(int src, int dst, std::size_t bytes,
 void DesEngine::p2p(int src, int dst, std::size_t bytes) {
   check_rank(src);
   check_rank(dst);
+  p2p_unchecked(src, dst, bytes);
+}
+
+void DesEngine::p2p_unchecked(int src, int dst, std::size_t bytes) {
   if (src == dst) return;
   const msg::LinkClass cls = link_class(src, dst);
   const LinkParams l = link(src, dst, cls);
@@ -139,16 +161,17 @@ void DesEngine::allreduce(std::span<const int> ranks, std::size_t bytes,
                           double combine_flops, int ncols) {
   const auto p = static_cast<int>(ranks.size());
   if (p <= 1) return;
-  for (int r : ranks) check_rank(r);
+  check_ranks(ranks);
   int p2 = 1;
   while (p2 * 2 <= p) p2 *= 2;
   const int rem = p - p2;
 
   // Fold phase for non-power-of-two participant counts.
   for (int i = 0; i < rem; ++i) {
-    p2p(ranks[static_cast<std::size_t>(2 * i)],
-        ranks[static_cast<std::size_t>(2 * i + 1)], bytes);
-    compute(ranks[static_cast<std::size_t>(2 * i + 1)], combine_flops, ncols);
+    p2p_unchecked(ranks[static_cast<std::size_t>(2 * i)],
+                  ranks[static_cast<std::size_t>(2 * i + 1)], bytes);
+    compute_unchecked(ranks[static_cast<std::size_t>(2 * i + 1)],
+                      combine_flops, ncols);
   }
   auto vrank_to_rank = [&](int vr) {
     return ranks[static_cast<std::size_t>(vr < rem ? 2 * vr + 1 : vr + rem)];
@@ -184,13 +207,13 @@ void DesEngine::allreduce(std::span<const int> ranks, std::size_t bytes,
       }
     }
     for (int vr = 0; vr < p2; ++vr) {
-      compute(vrank_to_rank(vr), combine_flops, ncols);
+      compute_unchecked(vrank_to_rank(vr), combine_flops, ncols);
     }
   }
   // Unfold to the folded-out ranks.
   for (int i = 0; i < rem; ++i) {
-    p2p(ranks[static_cast<std::size_t>(2 * i + 1)],
-        ranks[static_cast<std::size_t>(2 * i)], bytes);
+    p2p_unchecked(ranks[static_cast<std::size_t>(2 * i + 1)],
+                  ranks[static_cast<std::size_t>(2 * i)], bytes);
   }
 }
 
@@ -198,36 +221,151 @@ void DesEngine::reduce_bcast(std::span<const int> ranks, std::size_t bytes,
                              double combine_flops, int ncols) {
   const auto p = static_cast<int>(ranks.size());
   if (p <= 1) return;
+  check_ranks(ranks);
   // Binomial reduce: at step `mask`, ranks whose lowest set bit is `mask`
   // send to (vr ^ mask); the receiver folds the contribution in.
   for (int mask = 1; mask < p; mask <<= 1) {
     for (int vr = mask; vr < p; vr += 2 * mask) {
       const int dst = vr ^ mask;
-      p2p(ranks[static_cast<std::size_t>(vr)],
-          ranks[static_cast<std::size_t>(dst)], bytes);
-      compute(ranks[static_cast<std::size_t>(dst)], combine_flops, ncols);
+      p2p_unchecked(ranks[static_cast<std::size_t>(vr)],
+                    ranks[static_cast<std::size_t>(dst)], bytes);
+      compute_unchecked(ranks[static_cast<std::size_t>(dst)], combine_flops,
+                        ncols);
     }
   }
-  bcast(ranks, bytes);
+  bcast_unchecked(ranks, bytes);
 }
 
 void DesEngine::bcast(std::span<const int> ranks, std::size_t bytes) {
+  if (ranks.size() <= 1) return;
+  check_ranks(ranks);
+  bcast_unchecked(ranks, bytes);
+}
+
+void DesEngine::bcast_unchecked(std::span<const int> ranks,
+                                std::size_t bytes) {
   const auto p = static_cast<int>(ranks.size());
   // Binomial: at round k, ranks with vr < 2^k forward to vr + 2^k.
   for (int mask = 1; mask < p; mask <<= 1) {
     for (int vr = 0; vr < mask && vr + mask < p; ++vr) {
-      p2p(ranks[static_cast<std::size_t>(vr)],
-          ranks[static_cast<std::size_t>(vr + mask)], bytes);
+      p2p_unchecked(ranks[static_cast<std::size_t>(vr)],
+                    ranks[static_cast<std::size_t>(vr + mask)], bytes);
     }
   }
 }
 
 void DesEngine::synchronize(std::span<const int> ranks) {
+  check_ranks(ranks);
   double latest = 0.0;
   for (int r : ranks) {
     latest = std::max(latest, clock_[static_cast<std::size_t>(r)]);
   }
   for (int r : ranks) clock_[static_cast<std::size_t>(r)] = latest;
+}
+
+bool DesEngine::stamp_group(GroupMemo& memo, std::span<const int> ranks) {
+  // The shape key: everything the replay of a single-cluster group reads
+  // from the engine, by position. A position's node is keyed as the first
+  // position sharing it.
+  std::vector<std::uint64_t>& key = memo.key_;
+  key.assign({ranks.size(), trace_ != nullptr});
+  bool one_cluster = true;
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const int r = ranks[i];
+    check_rank(r);
+    const auto ri = static_cast<std::size_t>(r);
+    one_cluster = one_cluster &&
+                  cluster_of_[ri] ==
+                      cluster_of_[static_cast<std::size_t>(ranks[0])];
+    std::size_t first = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      QRGRID_CHECK_MSG(ranks[j] != r, "rank " << r << " repeats in a group");
+      if (first == i &&
+          node_of_[static_cast<std::size_t>(ranks[j])] == node_of_[ri]) {
+        first = j;
+      }
+    }
+    key.insert(key.end(),
+               {first, std::bit_cast<std::uint64_t>(speed_scale_[ri]),
+                std::bit_cast<std::uint64_t>(clock_[ri]),
+                std::bit_cast<std::uint64_t>(compute_seconds_[ri])});
+  }
+  memo.capture_ = nullptr;
+  if (!one_cluster) return false;
+  const auto [it, fresh] = memo.states_.try_emplace(key);
+  GroupMemo::EndState& state = it->second;
+  if (fresh) {
+    // Counters open at minus their current value; finish_capture adds the
+    // end value, leaving the replay's delta.
+    state.messages = -messages_;
+    for (int c = 0; c < msg::kNumLinkClasses; ++c) {
+      state.messages_by_class[c] = -messages_by_class_[c];
+      state.bytes_by_class[c] = -bytes_by_class_[c];
+    }
+    memo.capture_ = &state;
+    memo.trace_begin_ = trace_ != nullptr ? trace_->events().size() : 0;
+    flop_log_ = &state.flops;
+    return false;
+  }
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const auto r = static_cast<std::size_t>(ranks[i]);
+    clock_[r] = state.clock[i];
+    compute_seconds_[r] = state.compute_seconds[i];
+  }
+  messages_ += state.messages;
+  for (int c = 0; c < msg::kNumLinkClasses; ++c) {
+    messages_by_class_[c] += state.messages_by_class[c];
+    bytes_by_class_[c] += state.bytes_by_class[c];
+  }
+  for (double f : state.flops) total_flops_ += f;
+  if (trace_ != nullptr) {
+    for (const TraceEvent& e : state.events) {
+      trace_->record(ranks[static_cast<std::size_t>(e.rank)], e.start, e.end,
+                     e.kind);
+    }
+  }
+  return true;
+}
+
+void DesEngine::finish_capture(GroupMemo& memo, std::span<const int> ranks) {
+  GroupMemo::EndState* state = memo.capture_;
+  if (state == nullptr) return;
+  for (int r : ranks) {
+    state->clock.push_back(clock_[static_cast<std::size_t>(r)]);
+    state->compute_seconds.push_back(
+        compute_seconds_[static_cast<std::size_t>(r)]);
+  }
+  state->messages += messages_;
+  for (int c = 0; c < msg::kNumLinkClasses; ++c) {
+    state->messages_by_class[c] += messages_by_class_[c];
+    state->bytes_by_class[c] += bytes_by_class_[c];
+  }
+  QRGRID_CHECK_MSG(state->messages_by_class[static_cast<std::size_t>(
+                       msg::LinkClass::kInterCluster)] == 0,
+                   "a single-cluster group replay crossed the WAN");
+  if (trace_ != nullptr) {
+    std::vector<int> position(clock_.size(), -1);
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      position[static_cast<std::size_t>(ranks[i])] = static_cast<int>(i);
+    }
+    const std::vector<TraceEvent>& events = trace_->events();
+    for (std::size_t k = memo.trace_begin_; k < events.size(); ++k) {
+      TraceEvent e = events[k];
+      e.rank = position[static_cast<std::size_t>(e.rank)];
+      QRGRID_CHECK_MSG(e.rank >= 0, "a group replay traced a rank outside "
+                                    "the group");
+      state->events.push_back(e);
+    }
+  }
+  flop_log_ = nullptr;
+  memo.capture_ = nullptr;
+}
+
+void DesEngine::drop_capture(GroupMemo& memo) {
+  if (memo.capture_ == nullptr) return;
+  flop_log_ = nullptr;
+  memo.capture_ = nullptr;
+  memo.states_.erase(memo.key_);
 }
 
 double DesEngine::makespan() const {

@@ -13,11 +13,24 @@
 // through GridTopology::location_of once; compute and transfers then read
 // those per-rank tables, so locating a rank costs an array index rather
 // than a cluster scan per call. Public entries refuse out-of-range
-// ranks with qrgrid::Error.
+// ranks with qrgrid::Error; collectives check their ranks once at entry.
+//
+// replay_group is the leaf memo behind core::des_tsqr: the domains of
+// one site are mostly copies of one another (same group size, node
+// pattern, speed and start clocks), so each distinct group shape is
+// replayed once and its end state stamped onto the other groups of that
+// shape, bit-identically. The key is everything a single-cluster group's
+// replay reads: size, which positions share a node, and each position's
+// speed scale, start clock and compute seconds (plus whether tracing is
+// on). Groups that span clusters touch WAN state and are replayed in
+// full.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "model/roofline.hpp"
@@ -58,7 +71,7 @@ class DesEngine {
                     double combine_flops, int ncols);
 
   /// All ranks wait for the latest of them (e.g. after a collective whose
-  /// result synchronizes everyone).
+  /// result synchronizes everyone). Refuses out-of-range ranks.
   void synchronize(std::span<const int> ranks);
 
   double clock(int rank) const {
@@ -105,6 +118,56 @@ class DesEngine {
   /// engine's use of it.
   void set_trace(TraceLog* trace) { trace_ = trace; }
 
+  /// Replay memo for loops that run one schedule over many process
+  /// groups (des_tsqr's leaves). Per group shape it holds the end state
+  /// of the one group replayed in full, stored by position in the group.
+  /// Scope one memo to one loop over one engine: it grows with the
+  /// distinct shapes seen and is freed with the loop.
+  class GroupMemo {
+   private:
+    friend class DesEngine;
+    struct EndState {
+      std::vector<double> clock;            ///< per position
+      std::vector<double> compute_seconds;  ///< per position
+      long long messages = 0;
+      long long messages_by_class[msg::kNumLinkClasses] = {0, 0, 0, 0};
+      long long bytes_by_class[msg::kNumLinkClasses] = {0, 0, 0, 0};
+      std::vector<double> flops;       ///< the replay's flop adds, in order
+      std::vector<TraceEvent> events;  ///< rank = position in the group
+    };
+    std::map<std::vector<std::uint64_t>, EndState> states_;
+    std::vector<std::uint64_t> key_;  ///< shape of the group in hand
+    EndState* capture_ = nullptr;     ///< entry the running replay fills
+    std::size_t trace_begin_ = 0;     ///< first trace event of that replay
+  };
+
+  /// Runs `replay`, a schedule that reads and writes only the state of
+  /// `ranks`, once per group shape. When `memo` already holds a group of
+  /// the same shape, its end state is stamped onto `ranks` instead: the
+  /// clocks, compute seconds, message and byte counters, total_flops()
+  /// (its adds repeated in order) and trace events (ranks mapped by
+  /// position) all come out bit-identical to a full replay. Two groups
+  /// share a shape when they have the same size, sit in one cluster
+  /// each (so the replay touches no WAN state), pair their positions
+  /// onto nodes the same way, and hold the same per-position speed
+  /// scale, start clock and compute seconds, bit for bit; and tracing
+  /// must be on for both or off for both. Intra-node and intra-cluster
+  /// links are grid-wide, so they need no key. A group that spans
+  /// clusters is replayed in full. Refuses out-of-range and repeated
+  /// ranks with qrgrid::Error.
+  template <class Replay>
+  void replay_group(GroupMemo& memo, std::span<const int> ranks,
+                    Replay&& replay) {
+    if (stamp_group(memo, ranks)) return;
+    try {
+      replay();
+      finish_capture(memo, ranks);
+    } catch (...) {
+      drop_capture(memo);
+      throw;
+    }
+  }
+
   /// Aggregate capacity of each site's wide-area uplink. The measured
   /// Fig. 3(a) throughputs (78-102 Mb/s) are per TCP flow; the dark fiber
   /// backbone carries ~10 Gb/s, so concurrent inter-site flows contend
@@ -132,6 +195,25 @@ class DesEngine {
  private:
   /// Throws qrgrid::Error unless 0 <= rank < nprocs().
   void check_rank(int rank) const;
+  void check_ranks(std::span<const int> ranks) const;
+
+  /// The bodies of compute, p2p and bcast. Collectives check their ranks
+  /// once at entry and then step through these without re-checking.
+  void compute_unchecked(int rank, double flops, int ncols);
+  void p2p_unchecked(int src, int dst, std::size_t bytes);
+  void bcast_unchecked(std::span<const int> ranks, std::size_t bytes);
+
+  /// replay_group's halves. stamp_group computes the group's shape key
+  /// and, on a memo hit, applies the stored end state and returns true;
+  /// on a miss it opens a capture that finish_capture completes after
+  /// the replay (drop_capture abandons it if either throws).
+  bool stamp_group(GroupMemo& memo, std::span<const int> ranks);
+  void finish_capture(GroupMemo& memo, std::span<const int> ranks);
+  void drop_capture(GroupMemo& memo);
+
+  /// roofline_.rate_gflops(ncols), memoised: a replay asks for a handful
+  /// of column counts, millions of times.
+  double rate_gflops(int ncols);
 
   /// GridTopology::link_class / link, read from the per-rank tables.
   msg::LinkClass link_class(int a, int b) const;
@@ -144,6 +226,7 @@ class DesEngine {
 
   const GridTopology* topology_;
   model::Roofline roofline_;
+  std::vector<std::pair<int, double>> rates_;  ///< (ncols, rate_gflops)
   // Per-rank placement, resolved once from GridTopology::location_of.
   std::vector<int> cluster_of_;      ///< the rank's cluster
   std::vector<int> node_of_;         ///< its node within that cluster
@@ -162,6 +245,7 @@ class DesEngine {
   long long messages_by_class_[msg::kNumLinkClasses] = {0, 0, 0, 0};
   long long bytes_by_class_[msg::kNumLinkClasses] = {0, 0, 0, 0};
   double total_flops_ = 0.0;
+  std::vector<double>* flop_log_ = nullptr;  ///< set while capturing
 };
 
 }  // namespace qrgrid::simgrid

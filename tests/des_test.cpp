@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 
 #include "common/check.hpp"
+#include "core/des_algos.hpp"
+#include "linalg/flops.hpp"
 #include "sched/backend.hpp"
 
 namespace qrgrid::simgrid {
@@ -219,6 +224,20 @@ TEST(DesEngine, RejectsOutOfRangeRanks) {
   EXPECT_THROW(engine.allreduce(bad, 8, 0.0, 0), Error);
   EXPECT_THROW(engine.reduce_bcast(bad, 8, 0.0, 0), Error);
   EXPECT_THROW(engine.bcast(bad, 8), Error);
+  EXPECT_THROW(engine.synchronize(bad), Error);
+  const std::vector<int> negative = {-1};
+  EXPECT_THROW(engine.synchronize(negative), Error);
+  // des_tsqr refuses a group that repeats a rank or holds an unknown one
+  // before replaying any group.
+  const std::vector<int> domain_cluster = {0, 1};
+  EXPECT_THROW(core::des_tsqr(engine, {{0, 1}, {4, 5, 4}}, domain_cluster,
+                              1e4, 8.0, core::TreeKind::kFlat, false),
+               Error);
+  EXPECT_THROW(core::des_tsqr(engine, {{0, 1}, {4, n}}, domain_cluster, 1e4,
+                              8.0, core::TreeKind::kFlat, false),
+               Error);
+  EXPECT_EQ(engine.makespan(), 0.0);
+  EXPECT_EQ(engine.messages(), 0);
 }
 
 /// The engine's per-rank tables against GridTopology, the oracle: every
@@ -292,6 +311,208 @@ TEST(DesEngine, ComputeMatchesTopologySpeedOnEveryRank) {
           << "rank " << r << " of " << topo.total_procs();
     }
   }
+}
+
+/// des_tsqr with every leaf group replayed in full, no memo: the
+/// differential oracle for DesEngine::replay_group.
+void oracle_des_tsqr(DesEngine& engine,
+                     const std::vector<std::vector<int>>& domain_groups,
+                     const std::vector<int>& domain_cluster, double m,
+                     double n, core::TreeKind tree_kind, bool form_q) {
+  const int d = static_cast<int>(domain_groups.size());
+  const double m_d = m / static_cast<double>(d);
+  const int ncols = static_cast<int>(n);
+  for (const auto& group : domain_groups) {
+    if (group.size() == 1) {
+      engine.compute(group[0], flops::geqrf(m_d, n), ncols);
+    } else {
+      core::des_pdgeqrf(engine, group, m_d, n, 64, false);
+    }
+  }
+  auto root_of = [&](int domain) {
+    return domain_groups[static_cast<std::size_t>(domain)][0];
+  };
+  const int combine_ncols = std::min(ncols, 128);
+  const core::ReductionTree tree =
+      core::ReductionTree::make(tree_kind, d, domain_cluster);
+  const auto r_bytes = static_cast<std::size_t>(n * (n + 1) / 2 * 8.0);
+  for (const auto& level : tree.levels()) {
+    for (const core::Merge& merge : level.merges) {
+      engine.p2p(root_of(merge.child), root_of(merge.parent), r_bytes);
+      engine.compute(root_of(merge.parent), flops::tpqrt_tt(n),
+                     combine_ncols);
+    }
+  }
+  if (form_q) {
+    const auto c_bytes = static_cast<std::size_t>(n * n * 8.0);
+    for (std::size_t l = tree.levels().size(); l-- > 0;) {
+      for (const core::Merge& merge : tree.levels()[l].merges) {
+        engine.compute(root_of(merge.parent), 2.0 * flops::tpqrt_tt(n),
+                       ncols);
+        engine.p2p(root_of(merge.parent), root_of(merge.child), c_bytes);
+      }
+    }
+    for (const auto& group : domain_groups) {
+      const double share =
+          flops::orgqr(m_d, n) / static_cast<double>(group.size());
+      for (int r : group) engine.compute(r, share, ncols);
+      if (group.size() > 1) {
+        engine.allreduce(group, c_bytes, 0.0, ncols);
+      }
+    }
+  }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every observable of two engines (and their trace logs), bit for bit.
+void expect_same_engine(const DesEngine& got, const TraceLog& got_log,
+                        const DesEngine& want, const TraceLog& want_log,
+                        const std::string& label) {
+  for (int r = 0; r < want.nprocs(); ++r) {
+    EXPECT_EQ(bits(got.clock(r)), bits(want.clock(r))) << label << " r" << r;
+    EXPECT_EQ(bits(got.compute_seconds(r)), bits(want.compute_seconds(r)))
+        << label << " r" << r;
+  }
+  EXPECT_EQ(got.messages(), want.messages()) << label;
+  for (int c = 0; c < msg::kNumLinkClasses; ++c) {
+    const auto cls = static_cast<msg::LinkClass>(c);
+    EXPECT_EQ(got.messages_of(cls), want.messages_of(cls)) << label;
+    EXPECT_EQ(got.bytes_of(cls), want.bytes_of(cls)) << label;
+  }
+  EXPECT_EQ(bits(got.total_flops()), bits(want.total_flops())) << label;
+  for (int c = 0; c < want.topology().num_clusters(); ++c) {
+    EXPECT_EQ(got.wan_egress_bytes(c), want.wan_egress_bytes(c)) << label;
+    EXPECT_EQ(got.wan_ingress_bytes(c), want.wan_ingress_bytes(c)) << label;
+  }
+  ASSERT_EQ(got.wan_transfers().size(), want.wan_transfers().size()) << label;
+  for (std::size_t i = 0; i < want.wan_transfers().size(); ++i) {
+    const DesEngine::WanTransfer& a = got.wan_transfers()[i];
+    const DesEngine::WanTransfer& b = want.wan_transfers()[i];
+    EXPECT_EQ(bits(a.start_s), bits(b.start_s)) << label << " wan " << i;
+    EXPECT_EQ(a.src_cluster, b.src_cluster) << label << " wan " << i;
+    EXPECT_EQ(a.dst_cluster, b.dst_cluster) << label << " wan " << i;
+    EXPECT_EQ(a.bytes, b.bytes) << label << " wan " << i;
+  }
+  ASSERT_EQ(got_log.events().size(), want_log.events().size()) << label;
+  for (std::size_t i = 0; i < want_log.events().size(); ++i) {
+    const TraceEvent& a = got_log.events()[i];
+    const TraceEvent& b = want_log.events()[i];
+    ASSERT_TRUE(a.rank == b.rank && bits(a.start) == bits(b.start) &&
+                bits(a.end) == bits(b.end) && a.kind == b.kind)
+        << label << " trace event " << i;
+  }
+}
+
+/// Leaf layouts over one topology: balanced and unbalanced per-cluster
+/// splits, and fixed-size chunks of the rank range that cut across
+/// cluster and node boundaries (some groups span clusters).
+std::vector<core::DomainLayout> differential_layouts(const GridTopology& topo) {
+  std::vector<core::DomainLayout> layouts;
+  int min_procs = topo.cluster(0).procs();
+  for (int c = 1; c < topo.num_clusters(); ++c) {
+    min_procs = std::min(min_procs, topo.cluster(c).procs());
+  }
+  for (int domains : {1, 2, 3}) {
+    if (domains <= min_procs) {
+      layouts.push_back(core::make_domain_layout(topo, domains));
+    }
+  }
+  core::DomainLayout chunks;
+  for (int base = 0; base < topo.total_procs(); base += 3) {
+    std::vector<int> group;
+    for (int r = base; r < std::min(base + 3, topo.total_procs()); ++r) {
+      group.push_back(r);
+    }
+    chunks.domain_cluster.push_back(topo.location_of(base).cluster);
+    chunks.groups.push_back(std::move(group));
+  }
+  layouts.push_back(std::move(chunks));
+  return layouts;
+}
+
+TEST(DesEngine, LeafMemoMatchesFullReplayOracle) {
+  std::vector<GridTopology> topos;
+  topos.push_back(GridTopology::grid5000(1, 5, 1));
+  topos.push_back(GridTopology::grid5000(2, 5, 2));
+  topos.push_back(GridTopology::grid5000(3, 3, 2));
+  // Equal speeds: groups of different clusters share a shape.
+  topos.push_back(GridTopology::grid5000(4, 3, 1, /*equal_power=*/true));
+  const GridTopology master = GridTopology::grid5000(4, 4, 2);
+  topos.push_back(
+      sched::make_sub_topology(master, {3, 1, 2, 2}, {3, 1, 0, 2}).topology);
+  const model::Roofline roof = model::paper_calibration();
+  int cases = 0;
+  for (const GridTopology& topo : topos) {
+    for (const core::DomainLayout& layout : differential_layouts(topo)) {
+      for (const double n : {16.0, 70.0}) {
+        for (const bool traced : {false, true}) {
+          const bool form_q = n > 64.0;
+          const core::TreeKind tree = traced ? core::TreeKind::kFlat
+                                             : core::TreeKind::kGridHierarchical;
+          const std::string label =
+              std::to_string(topo.num_clusters()) + " clusters, " +
+              std::to_string(topo.total_procs()) + " ranks, " +
+              std::to_string(layout.groups.size()) + " groups, n " +
+              std::to_string(static_cast<int>(n)) +
+              (traced ? ", traced" : "");
+          DesEngine got(&topo, roof);
+          DesEngine want(&topo, roof);
+          TraceLog got_log;
+          TraceLog want_log;
+          got.record_wan_transfers(true);
+          want.record_wan_transfers(true);
+          if (traced) {
+            got.set_trace(&got_log);
+            want.set_trace(&want_log);
+          }
+          // The second call starts from the first one's non-zero clocks.
+          for (const double m : {5e4, 3e4}) {
+            core::des_tsqr(got, layout.groups, layout.domain_cluster, m, n,
+                           tree, form_q);
+            oracle_des_tsqr(want, layout.groups, layout.domain_cluster, m, n,
+                            tree, form_q);
+            expect_same_engine(got, got_log, want, want_log, label);
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 40);
+}
+
+TEST(DesEngine, GroupMemoStampsOnlyMatchingShapes) {
+  // Ranks 0-3 and 4-7 of one equal-speed site pair up on nodes alike, so
+  // the second group's replay is stamped from the first; after a compute
+  // on rank 8 the third group starts from a different clock and must be
+  // replayed. Each replay here writes a known amount per position.
+  const GridTopology topo = GridTopology::grid5000(1, 6, 2);
+  DesEngine engine(&topo, flat_roofline());
+  DesEngine::GroupMemo memo;
+  int replays = 0;
+  auto run = [&](std::vector<int> group) {
+    engine.replay_group(memo, group, [&] {
+      ++replays;
+      engine.allreduce(group, 64, 1.0, 0);
+      engine.compute(group.back(), 3.0, 0);
+    });
+  };
+  run({0, 1, 2, 3});
+  run({4, 5, 6, 7});
+  EXPECT_EQ(replays, 1);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(bits(engine.clock(4 + r)), bits(engine.clock(r)));
+  }
+  engine.compute(8, 1.0, 0);
+  run({8, 9, 10, 11});
+  EXPECT_EQ(replays, 2);
+  // Same size, other node pattern (1 and 2 sit on different nodes).
+  run({1, 2, 3, 4});
+  EXPECT_EQ(replays, 3);
+  const std::vector<int> repeated = {0, 1, 0};
+  EXPECT_THROW(run(repeated), Error);
+  EXPECT_EQ(replays, 3);
 }
 
 }  // namespace

@@ -347,6 +347,67 @@ TEST(SnapshotRestore, ARefusedRestoreLeavesTheServiceReusable) {
   EXPECT_GT(computes, 0);
 }
 
+/// ServiceTracer::save_state's bytes for `tracer`'s clock and `events`.
+std::string tracer_state(const ServiceTracer& tracer,
+                         const std::vector<ServiceTraceEvent>& events) {
+  ServiceTracer copy;
+  for (const ServiceTraceEvent& ev : events) copy.record(ev);
+  copy.advance_to(tracer.now_s());
+  SnapshotWriter w;
+  copy.save_state(w);
+  return w.bytes();
+}
+
+TEST(SnapshotRestore, RefusesARestoredTraceThatBreaksItsInvariants) {
+  // Flipping the sign bit of a profile-compute timestamp sends that event
+  // back in time. Restore must refuse the checkpoint up front, with the
+  // caller's tracer unchanged, instead of letting the resumed run fail
+  // in the validator at its end. The byte is found by re-encoding the
+  // tracer state with that one timestamp negated.
+  const simgrid::GridTopology topo = small_grid();
+  const model::Roofline roof = model::paper_calibration();
+  const std::vector<Job> jobs = small_workload(6, 3);
+  ServiceTracer tracer;
+  ServiceOptions options;
+  options.tracer = &tracer;
+  GridJobService source(topo, roof, options);
+  source.start(jobs);
+  for (int i = 0; i < 4 && source.active(); ++i) source.step();
+  const std::string checkpoint = source.snapshot();
+
+  std::vector<ServiceTraceEvent> events = tracer.events();
+  const std::string intact = tracer_state(tracer, events);
+  const std::size_t section = checkpoint.find(intact);
+  ASSERT_NE(section, std::string::npos);
+  const auto flipped = std::find_if(
+      events.begin(), events.end(), [](const ServiceTraceEvent& ev) {
+        return ev.kind == TraceKind::kProfileCompute && ev.t_s > 0.0;
+      });
+  ASSERT_NE(flipped, events.end());
+  flipped->t_s = -flipped->t_s;
+  const std::string mutated = tracer_state(tracer, events);
+  ASSERT_EQ(mutated.size(), intact.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(intact.begin(), intact.end(), mutated.begin()).first -
+      intact.begin());
+  std::string hostile = checkpoint;
+  hostile[section + at] = mutated[at];
+
+  const std::string trace_before = trace_json(tracer);
+  GridJobService target(topo, roof, options);
+  try {
+    target.restore(hostile);
+    ADD_FAILURE() << "restore accepted a trace that goes back in time";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("timestamp went backwards"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(trace_json(tracer), trace_before);
+  target.restore(checkpoint);
+  EXPECT_EQ(target.snapshot(), checkpoint);
+}
+
 /// save_job's record of one job.
 std::string job_record(const Job& job) {
   SnapshotWriter w;
